@@ -550,8 +550,8 @@ def write_usage_series_csv(seeds: Sequence[int], usages: Sequence, path) -> None
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["slot"] + [f"usage_seed{s}" for s in seeds])
-            for i in range(len(usages[0])):
-                w.writerow([i + 1] + [int(u[i]) for u in usages])
+            slots = range(1, len(usages[0]) + 1)
+            w.writerows(zip(slots, *(map(int, u) for u in usages), strict=True))
 
     _atomic_write(Path(path), _write)
 

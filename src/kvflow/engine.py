@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -44,8 +45,6 @@ from kvflow.workload import ArrivalStream
 
 POLICY_STREAM_TAG = 1
 
-PHASES = ("arrivals", "activation", "overflow_check", "decode", "completion")
-
 EVENT_ARRIVE = "arrive"
 EVENT_ACTIVATE = "activate"
 EVENT_EVICT = "evict"
@@ -54,39 +53,11 @@ EVENT_COMPLETE = "complete"
 EVENT_OVERFLOW = "overflow"
 
 EVENT_FIELDS = ("slot", "kind", "request_id", "usage_after")
-
-
-@dataclass(frozen=True)
-class LinearSlotCost:
-    """Wall-time cost of one slot: base + per-token prefill/decode terms.
-
-    The default (1, 0, 0) makes a slot cost exactly one time unit. The
-    model only rescales reported throughput denominators; it never feeds
-    back into scheduling.
-    """
-
-    base: float = 1.0
-    per_prefill_token: float = 0.0
-    per_decode_token: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base < 0 or self.per_prefill_token < 0 or self.per_decode_token < 0:
-            raise ValueError("slot cost coefficients must be nonnegative")
-
-    def cost(self, prefill_tokens: int, decode_tokens: int) -> float:
-        return (
-            self.base
-            + self.per_prefill_token * prefill_tokens
-            + self.per_decode_token * decode_tokens
-        )
-
-
-def slot_cost(
-    prefill_tokens: int, decode_tokens: int, model: Optional[LinearSlotCost] = None
-) -> float:
-    """Wall-time cost of a slot that prefilled and decoded the given token counts."""
-    model = model or LinearSlotCost()
-    return model.cost(prefill_tokens, decode_tokens)
+# csv.writer's default dialect ends lines in \r\n and quotes none of these
+# fields, so plain formatting writes the same bytes
+_EVENT_HEADER = ",".join(EVENT_FIELDS) + "\r\n"
+_EVENT_ROW = "%d,%s,%d,%d\r\n"
+_EVENT_CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -178,26 +149,37 @@ class RunResult:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(["slot", "usage", "waiting", "active", "budget", "prefill_tokens", "decode_tokens"])
-            for i in range(self.horizon):
-                w.writerow(
-                    [
-                        i + 1,
-                        int(self.usage[i]),
-                        int(self.waiting_len[i]),
-                        int(self.active_len[i]),
-                        int(self.budgets[i]),
-                        int(self.prefill_tokens[i]),
-                        int(self.decode_tokens[i]),
-                    ]
-                )
+            columns = (
+                self.usage,
+                self.waiting_len,
+                self.active_len,
+                self.budgets,
+                self.prefill_tokens,
+                self.decode_tokens,
+            )
+            slots = range(1, self.horizon + 1)
+            w.writerows(zip(slots, *(map(int, c) for c in columns), strict=True))
 
 
 def write_events_csv(events: Iterable[Tuple[int, str, int, int]], path) -> None:
+    """Write an event log as CSV, byte for byte what csv.writer would write.
+
+    The first line is the header ``slot,kind,request_id,usage_after``; every
+    line, the header included, ends in ``\\r\\n``. Each row is
+    ``<slot>,<kind>,<request_id>,<usage_after>`` with the integers in
+    decimal and nothing quoted. ``kind`` is one of ``arrive``, ``activate``,
+    ``overflow``, ``evict``, ``decode_step`` and ``complete``; ``overflow``
+    rows carry ``request_id`` -1. Rows are formatted in bounded chunks, so
+    the whole file is never held as one string.
+    """
+    rows = iter(events)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(EVENT_FIELDS)
-        for row in events:
-            w.writerow(row)
+        fh.write(_EVENT_HEADER)
+        while True:
+            chunk = "".join(map(_EVENT_ROW.__mod__, islice(rows, _EVENT_CHUNK_ROWS)))
+            if not chunk:
+                break
+            fh.write(chunk)
 
 
 class Engine:

@@ -327,9 +327,10 @@ def recompute_from_events(
     """
     arrive_slot: Dict[int, int] = {}
     act_slot: Dict[int, int] = {}
-    arrive_per_slot = np.zeros(horizon, dtype=np.int64)
-    complete_per_slot = np.zeros(horizon, dtype=np.int64)
-    usage = np.zeros(horizon, dtype=np.int64)
+    # plain lists: a store into a list costs less than one into a numpy array
+    arrive_per_slot = [0] * horizon
+    complete_per_slot = [0] * horizon
+    usage = [0] * horizon
     latencies: List[int] = []
     retained = 0
     wasted = 0
@@ -339,7 +340,9 @@ def recompute_from_events(
     for slot, kind, rid, usage_after in events:
         if not 1 <= slot <= horizon:
             raise ValueError(f"event slot {slot} outside horizon {horizon}")
-        if kind == EVENT_ARRIVE:
+        if kind == EVENT_DECODE:  # most rows of any log
+            usage[slot - 1] = usage_after
+        elif kind == EVENT_ARRIVE:
             arrive_slot[rid] = slot
             arrive_per_slot[slot - 1] += 1
             arrivals += 1
@@ -348,8 +351,6 @@ def recompute_from_events(
         elif kind == EVENT_EVICT:
             wasted += slot - act_slot.pop(rid)
             evictions += 1
-        elif kind == EVENT_DECODE:
-            usage[slot - 1] = usage_after
         elif kind == EVENT_COMPLETE:
             retained += slot - act_slot.pop(rid) + 1
             latencies.append(slot - arrive_slot.pop(rid) + 1)
@@ -358,7 +359,8 @@ def recompute_from_events(
             overflow += 1
         else:
             raise ValueError(f"unknown event kind {kind!r}")
-    unfinished = np.cumsum(arrive_per_slot) - np.cumsum(complete_per_slot)
+    as_i64 = lambda xs: np.asarray(xs, dtype=np.int64)
+    unfinished = np.cumsum(as_i64(arrive_per_slot)) - np.cumsum(as_i64(complete_per_slot))
     return _build_report(
         policy=policy,
         seed=seed,
@@ -370,7 +372,7 @@ def recompute_from_events(
         wasted_tokens=wasted,
         overflow_events=overflow,
         eviction_events=evictions,
-        usage=usage,
+        usage=as_i64(usage),
         unfinished=unfinished,
     )
 

@@ -150,10 +150,6 @@ class PolicyView:
         """Active request ids in activation order (no view construction)."""
         return list(self._active.keys())
 
-    def active_ids_reversed(self) -> List[int]:
-        """Active request ids from most recently activated to oldest."""
-        return list(reversed(self._active.keys()))
-
     def _active_view(self, r: Request) -> ActiveView:
         return ActiveView(
             r.id,

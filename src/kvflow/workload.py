@@ -1,15 +1,17 @@
 """Workload specification, arrival generation, and trace ingestion.
 
 Arrival counts are Poisson-distributed per slot. Sampling goes through CDF
-inversion driven by uniforms from a PCG64 generator, so a (spec, seed) pair
-reproduces the exact same stream on any platform regardless of the numpy
-version's own poisson() implementation.
+inversion driven by uniforms from a PCG64 generator (a high rate as a sum
+of lower ones), so a (spec, seed) pair reproduces the exact same stream on
+any platform regardless of the numpy version's own poisson()
+implementation.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -20,6 +22,8 @@ import numpy as np
 from kvflow.core import Rate, Request, RequestClass, workload_tokens
 
 ARRIVAL_STREAM_TAG = 0
+# largest rate sampled by one CDF walk; exp(-500) is still a normal float
+POISSON_RATE_CAP = 500.0
 
 
 def poisson_counts(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -29,9 +33,25 @@ def poisson_counts(rate: float, size: int, rng: np.random.Generator) -> np.ndarr
     whose uniform still exceeds it. The loop also stops once the pmf term
     underflows, which truncates a tail whose mass is far below float
     resolution.
+
+    The walk starts from exp(-rate), which loses precision well before it
+    underflows (near rate 745). A rate above POISSON_RATE_CAP is therefore
+    split into ceil(rate / POISSON_RATE_CAP) equal parts whose samples are
+    summed, which is exact by Poisson additivity; rates up to the cap take
+    one walk and give the same stream as always.
     """
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
+    if rate <= POISSON_RATE_CAP:
+        return _poisson_inversion(rate, size, rng)
+    parts = math.ceil(rate / POISSON_RATE_CAP)
+    counts = np.zeros(size, dtype=np.int64)
+    for _ in range(parts):
+        counts += _poisson_inversion(rate / parts, size, rng)
+    return counts
+
+
+def _poisson_inversion(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:
     counts = np.zeros(size, dtype=np.int64)
     if rate == 0 or size == 0:
         return counts
@@ -427,6 +447,3 @@ class LengthDistribution:
 
     def max_len(self) -> int:
         return max(max(l, o) for l, o in self.pairs)
-
-    def max_footprint(self) -> int:
-        return max(l + o for l, o in self.pairs)

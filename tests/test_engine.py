@@ -1,6 +1,7 @@
 """Engine tests: hand-traced slot accounting, eviction semantics, and
 an event-log replay that recomputes the usage series independently."""
 
+import csv
 import json
 import random
 from collections import defaultdict
@@ -9,13 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from kvflow.cli import write_usage_series_csv
 from kvflow.core import EngineError, OversizedRequestError, Request, RequestClass, usage
 from kvflow.engine import (
+    _EVENT_CHUNK_ROWS,
+    EVENT_FIELDS,
     Engine,
-    LinearSlotCost,
     RunResult,
     run,
-    slot_cost,
     write_events_csv,
 )
 from kvflow.policies import (
@@ -408,20 +410,6 @@ class TestArrivalStreamPassthrough:
         assert r.class_arrivals is stream.class_counts
 
 
-class TestSlotCost:
-    def test_default_model_charges_one_per_slot(self):
-        assert slot_cost(100, 50) == 1.0
-        assert LinearSlotCost().cost(0, 0) == 1.0
-
-    def test_token_terms(self):
-        model = LinearSlotCost(base=0.0, per_prefill_token=0.001, per_decode_token=0.01)
-        assert slot_cost(100, 50, model) == pytest.approx(0.6)
-
-    def test_negative_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            LinearSlotCost(base=-1.0)
-
-
 class TestSerialization:
     def make(self):
         slots, _ = random_workload(2, known=True)
@@ -459,6 +447,111 @@ class TestSerialization:
         slots, _ = random_workload(2, known=True)
         r = run(slots, make_policy("mc", {}), kv_capacity=40)
         assert r.events is None
+
+
+def csv_writer_events(events, path):
+    """The csv.writer loop write_events_csv replaced: the byte reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(EVENT_FIELDS)
+        for row in events:
+            w.writerow(row)
+
+
+def csv_writer_series(r, path):
+    """The per-cell loop RunResult.write_series_csv replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["slot", "usage", "waiting", "active", "budget", "prefill_tokens", "decode_tokens"])
+        for i in range(r.horizon):
+            w.writerow(
+                [
+                    i + 1,
+                    int(r.usage[i]),
+                    int(r.waiting_len[i]),
+                    int(r.active_len[i]),
+                    int(r.budgets[i]),
+                    int(r.prefill_tokens[i]),
+                    int(r.decode_tokens[i]),
+                ]
+            )
+
+
+def csv_writer_usage_series(seeds, usages, path):
+    """The per-cell loop cli.write_usage_series_csv replaced."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["slot"] + [f"usage_seed{s}" for s in seeds])
+        for i in range(len(usages[0])):
+            w.writerow([i + 1] + [int(u[i]) for u in usages])
+
+
+class TestArtifactBytes:
+    """The artifact writers against the csv.writer loops they replaced,
+    compared as bytes so line endings count."""
+
+    POLICIES = [
+        ("flow_per_class", {"budgets": (1, 1)}),
+        ("flow_scalar", {"budget": 2}),
+        ("alpha_protection", {"alpha": 0.5}),
+        ("mc", {}),
+        ("mc_sf", {}),
+        ("amin", {"min_output": 3}),
+    ]
+
+    @pytest.fixture(scope="class")
+    def results(self):
+        classes = [RequestClass(4, 3, Fraction(2)), RequestClass(2, 6, Fraction(2))]
+        spec = WorkloadSpec.synthetic(classes, horizon=200, seed=1)
+        return [
+            run(
+                generate_arrivals(spec, seed=1),
+                make_policy(name, params),
+                kv_capacity=60,
+                seed=1,
+                record_events=True,
+            )
+            for name, params in self.POLICIES
+        ]
+
+    def assert_same_events(self, events, tmp_path):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        write_events_csv(iter(events), fast)
+        csv_writer_events(events, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+
+    def test_policy_logs(self, results, tmp_path):
+        kinds = {kind for r in results for _, kind, _, _ in r.events}
+        assert kinds == {"arrive", "activate", "overflow", "evict", "decode_step", "complete"}
+        assert any(row[2] == -1 for r in results for row in r.events)
+        for r in results:
+            self.assert_same_events(r.events, tmp_path)
+
+    def test_empty_log(self, tmp_path):
+        self.assert_same_events([], tmp_path)
+        assert (tmp_path / "fast.csv").read_bytes() == b"slot,kind,request_id,usage_after\r\n"
+
+    def test_logs_across_chunk_boundaries(self, results, tmp_path):
+        chunk = _EVENT_CHUNK_ROWS
+        events = [row for r in results for row in r.events]
+        assert len(events) > 2 * chunk
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk, len(events)):
+            self.assert_same_events(events[:n], tmp_path)
+
+    def test_series_csv(self, results, tmp_path):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        for r in results:
+            r.write_series_csv(fast)
+            csv_writer_series(r, ref)
+            assert fast.read_bytes() == ref.read_bytes()
+
+    def test_usage_series_csv(self, results, tmp_path):
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        seeds = list(range(len(results)))
+        usages = [r.usage for r in results]
+        write_usage_series_csv(seeds, usages, fast)
+        csv_writer_usage_series(seeds, usages, ref)
+        assert fast.read_bytes() == ref.read_bytes()
 
 
 class TestWastedWorkAccounting:

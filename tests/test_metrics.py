@@ -276,8 +276,10 @@ class TestEventLogRecompute:
             recompute_from_events([(1, "bogus", 1, 0)], kv_capacity=10, horizon=2)
 
     def test_rejects_out_of_horizon_slot(self):
-        with pytest.raises(ValueError):
-            recompute_from_events([(3, "arrive", 1, 0)], kv_capacity=10, horizon=2)
+        # slot 0 would otherwise index the last slot from the end
+        for event in [(3, "arrive", 1, 0), (0, "decode_step", 1, 5), (3, "decode_step", 1, 5)]:
+            with pytest.raises(ValueError, match="outside horizon"):
+                recompute_from_events([event], kv_capacity=10, horizon=2)
 
 
 class TestStabilityEstimate:

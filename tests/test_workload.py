@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kvflow import workload
@@ -102,6 +104,34 @@ class TestSyntheticArrivals:
         )
         for r in flatten(generate_arrivals(spec)):
             assert r.class_id == 1
+
+
+class TestPoissonCounts:
+    SIZE = 4000
+
+    def draw(self, rate):
+        return workload.poisson_counts(rate, self.SIZE, np.random.default_rng([7, int(rate)]))
+
+    @pytest.mark.parametrize(
+        "rate,digest",
+        [
+            (3.0, "d5c37b967149a8a4bd7c561e236ce8d91a11be461107cc1e560f622e9477bf34"),
+            (5.0, "c310495966a8ffd9d319841175c0992ca948d4e9a6f3876d56a22efd821cdbbd"),
+            (12.0, "328898ded9d3912f2a4755e4b8553a9f243458742503f434d7e5e727534418e1"),
+            (50.0, "efe23f03ee85a69d510a5fec13fd63244cae15ad87ecfc788a5db62288ef57de"),
+            (workload.POISSON_RATE_CAP, "64c866a0d22091565b764cf77c8010551b535c6e529e462820f808b628761f96"),
+        ],
+    )
+    def test_streams_up_to_the_cap_are_unchanged(self, rate, digest):
+        counts = self.draw(rate)
+        assert hashlib.sha256(counts.astype("<i8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("rate", [744.0, 1000.0, 5000.0])
+    def test_high_rates_keep_mean_and_variance(self, rate):
+        # five standard errors of the sample mean and of the sample variance
+        counts = self.draw(rate)
+        assert abs(counts.mean() - rate) < 5 * math.sqrt(rate / self.SIZE)
+        assert abs(counts.var() - rate) < 5 * rate * math.sqrt(2 / self.SIZE)
 
 
 class TestGarbageCollectorState:
