@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from kvflow.core import workload_tokens
+from kvflow.core import as_fraction, workload_tokens
 from kvflow.engine import run as engine_run
 from kvflow.metrics import compute_metrics
 from kvflow.policies import make_policy
@@ -89,17 +89,6 @@ def _offered_load(spec: WorkloadSpec) -> Fraction:
     if spec.kind == "synthetic":
         return check_necessary_known(spec.classes, 1).offered_load
     return check_necessary_unknown(spec.length_distribution(), spec.total_rate(), 1).offered_load
-
-
-def _runnable(name: str, params: dict, spec: WorkloadSpec) -> bool:
-    policy = make_policy(name, params)
-    if policy.requires_known_outputs and not spec.outputs_known:
-        return False
-    if policy.requires_classes and spec.classes is None:
-        return False
-    if name == "mc" and not spec.outputs_known and params.get("assume_max_output") is None:
-        return False
-    return True
 
 
 def _max_workload(spec: WorkloadSpec) -> int:
@@ -207,7 +196,7 @@ def check_overload_explosion(
             if budgets is None or spec.classes is None:
                 continue
             params = {"budgets": tuple(budgets)}
-        if not _runnable(name, params, spec):
+        if make_policy(name, params).applicable(spec) is not None:
             continue
         for seed in seeds:
             res = engine_run(
@@ -246,7 +235,7 @@ def check_overflow_rarity(
     below capacity produces no observed overflows, and the per-slot
     activation draw never exceeds its cap."""
     claim = "scalar admission with positive load margin never overflows in practice"
-    b = Fraction(str(budget)) if not isinstance(budget, (int, Fraction)) else Fraction(budget)
+    b = as_fraction(budget)
     epsilon = 1 - b * spec.length_distribution().mean_workload() / kv_capacity
     if epsilon <= 0:
         return CheckResult(

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kvflow import metrics, oracle, presets, stability, workload
-from kvflow.core import EngineError
+from kvflow.core import EngineError, as_fraction
 from kvflow.engine import run as engine_run, write_events_csv
 from kvflow.policies import (
     POLICY_NAMES,
@@ -107,7 +107,7 @@ def _parse_rate(value, label: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"field '{label}' must be a number or fraction string, got {value!r}")
     try:
-        rate = Fraction(value) if isinstance(value, int) else Fraction(str(value))
+        rate = as_fraction(value)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"field '{label}': {value!r} is not a valid rate") from None
     if rate < 0:
@@ -500,18 +500,6 @@ COMPARE_FIELDS = (
 )
 
 
-def _applicability(name: str, params: dict, spec: WorkloadSpec) -> Optional[str]:
-    """Why this policy cannot run on this workload, or None if it can."""
-    policy = make_policy(name, params)
-    if policy.requires_known_outputs and not spec.outputs_known:
-        return "needs visible output lengths"
-    if policy.requires_classes and spec.classes is None:
-        return "needs class structure"
-    if name == "mc" and not spec.outputs_known and params.get("assume_max_output") is None:
-        return "needs assume_max_output when output lengths are hidden"
-    return None
-
-
 def _mean_or_blank(values: List[Optional[float]]) -> str:
     present = [v for v in values if v is not None]
     if not present:
@@ -590,7 +578,7 @@ def cmd_compare(args) -> int:
     out = args.out and Path(args.out) or base.out_dir
     rows: List[dict] = []
     for label, (name, params) in zip(labels, policies):
-        reason = _applicability(name, params, spec)
+        reason = make_policy(name, params).applicable(spec)
         if reason is None:
             tasks = [(spec, name, params, kv, seed, False, track) for seed in seeds]
             try:
@@ -684,7 +672,7 @@ def _parse_grid_point(value, label: str):
         return value
     if isinstance(value, (float, str)):
         try:
-            return Fraction(str(value))
+            return as_fraction(value)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"field '{label}': {value!r} is not a valid budget") from None
     if isinstance(value, list):

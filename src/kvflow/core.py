@@ -10,11 +10,14 @@ slot t, i.e. it already holds l + 1 at the end of its activation slot.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import merge
+from numbers import Rational
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 Rate = Union[int, float, Fraction]
 
@@ -91,44 +94,116 @@ def workload_tokens(prompt_len: int, decode_len: int) -> int:
 _ARRIVAL_ORDER = attrgetter("arrival_slot", "id")  # Request.sort_key, without a Python call
 
 
-class WaitingQueue:
-    """Waiting requests ordered by (arrival_slot, id).
+def as_fraction(value: Union[Rate, str]) -> Fraction:
+    """An exact rational; a float means its shortest decimal (0.1 is 1/10).
 
-    New arrivals append in key order. Evicted requests re-enter at their
-    original arrival position, ahead of anything that arrived later; they
-    sit in a small side list that is sorted lazily and merge-iterated with
-    the main one. Removal is O(1) when it hits either list head, which is
-    the common case for FIFO-ish policies; main-list removals elsewhere are
-    tombstoned by id (an id never re-enters the main list) and compacted
-    once tombstones outnumber the live entries.
+    Integers, Fractions and strings ("3/2", "0.25") convert as Fraction
+    does. Anything else, floats included, goes through its shortest decimal
+    str(), so a budget or rate written as 0.1 is analysed and run as exactly
+    one tenth, not as the nearest binary double.
+    """
+    if isinstance(value, (Rational, str)):
+        return Fraction(value)
+    return Fraction(str(value))
 
-    The order is built on the first iteration and kept from then on. A
-    policy that indexes the waiting requests itself never iterates, and
-    for it the queue stays a plain membership map.
+
+class WaitingGroup:
+    """One FIFO group of waiting requests, in (arrival_slot, id) order.
+
+    Fresh arrivals append to a main list. An evicted request re-entering
+    at its arrival position goes to a side list that is sorted lazily and
+    merged in when the group is read, so a re-entry never costs a pass over
+    the backlog. Removal at the head of either list is O(1); removal from
+    the middle of the group costs O(group).
+
+    Policies read a group (its length, head, order and count_before); only
+    the WaitingQueue that owns it changes it.
     """
 
-    __slots__ = (
-        "_ordered",
-        "_main",
-        "_readmit",
-        "_mdead",
-        "_members",
-        "_side",
-        "_mhead",
-        "_rhead",
-        "_rdirty",
-    )
+    __slots__ = ("key", "_main", "_mhead", "_side", "_shead", "_sdirty")
 
-    def __init__(self) -> None:
-        self._ordered = False
+    def __init__(self, key: Hashable) -> None:
+        self.key = key
         self._main: list = []
-        self._readmit: list = []
-        self._mdead: set = set()
-        self._members: dict = {}  # id -> Request, for every waiting entry
-        self._side: set = set()  # ids of the entries in the side list
         self._mhead = 0
-        self._rhead = 0
-        self._rdirty = False
+        self._side: list = []
+        self._shead = 0
+        self._sdirty = False
+
+    def __len__(self) -> int:
+        return len(self._main) - self._mhead + len(self._side) - self._shead
+
+    def __iter__(self) -> Iterator[Request]:
+        """Yield the group's requests in (arrival_slot, id) order."""
+        if self._sdirty:
+            self._settle()
+        main, side = self._main, self._side
+        # walk the live parts natively (islice would step through the
+        # consumed prefixes)
+        fresh = map(main.__getitem__, range(self._mhead, len(main)))
+        if not side:
+            return fresh
+        old = map(side.__getitem__, range(self._shead, len(side)))
+        if not main or _ARRIVAL_ORDER(side[-1]) < _ARRIVAL_ORDER(main[self._mhead]):
+            return chain(old, fresh)
+        return merge(old, fresh, key=_ARRIVAL_ORDER)
+
+    def head(self) -> Request:
+        """The group's first request; the group must not be empty."""
+        if self._sdirty:
+            self._settle()
+        main, side = self._main, self._side
+        if not side:
+            return main[self._mhead]
+        old = side[self._shead]
+        if not main:
+            return old
+        fresh = main[self._mhead]
+        return old if _ARRIVAL_ORDER(old) < _ARRIVAL_ORDER(fresh) else fresh
+
+    def count_before(self, arrival_slot: int, req_id: int) -> int:
+        """How many of the group's requests order strictly before
+        (arrival_slot, req_id)."""
+        if self._sdirty:
+            self._settle()
+        key = (arrival_slot, req_id)
+        return (
+            bisect_left(self._main, key, self._mhead, key=_ARRIVAL_ORDER) - self._mhead
+            + bisect_left(self._side, key, self._shead, key=_ARRIVAL_ORDER) - self._shead
+        )
+
+    def _settle(self) -> None:
+        side = self._side[self._shead :]
+        side.sort(key=_ARRIVAL_ORDER)
+        self._side = side
+        self._shead = 0
+        self._sdirty = False
+
+    def _take(self, req_id: int) -> Request:
+        """Remove a request from the middle of the group, in O(group)."""
+        for entries, start in ((self._main, self._mhead), (self._side, self._shead)):
+            for i in range(start, len(entries)):
+                if entries[i].id == req_id:
+                    return entries.pop(i)
+        raise EngineError(f"request {req_id} is not in group {self.key!r}")
+
+
+class WaitingQueue:
+    """The waiting requests, held in FIFO groups (see WaitingGroup).
+
+    group_key maps a request to the key of its group each time it enters
+    or re-enters the queue; None keeps every request in one group. A group
+    stays once made, empty or not: dropping and remaking groups as they
+    drain and refill fragments the heap enough to raise the peak memory of
+    long runs. Iteration merges the groups in (arrival_slot, id) order.
+    """
+
+    __slots__ = ("_key", "_groups", "_members")
+
+    def __init__(self, group_key: Optional[Callable[[Request], Hashable]] = None) -> None:
+        self._key = group_key
+        self._groups: Dict[Hashable, WaitingGroup] = {}
+        self._members: Dict[int, WaitingGroup] = {}  # id -> its group
 
     def __len__(self) -> int:
         return len(self._members)
@@ -136,124 +211,71 @@ class WaitingQueue:
     def __contains__(self, req_id: int) -> bool:
         return req_id in self._members
 
+    @property
+    def groups(self) -> Dict[Hashable, WaitingGroup]:
+        """Every group made so far, by key (some may be empty); to read,
+        not to change."""
+        return self._groups
+
+    def heads(self) -> List[Tuple[Request, WaitingGroup]]:
+        """(first request, group) for every nonempty group."""
+        return [(g.head(), g) for g in self._groups.values() if g._main or g._side]
+
     def push(self, request: Request) -> None:
         """Append a fresh arrival. Keys must be nondecreasing over pushes."""
-        if self._ordered:
-            self._main.append(request)
-        self._members[request.id] = request
+        key = None if self._key is None else self._key(request)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = WaitingGroup(key)
+        group._main.append(request)
+        self._members[request.id] = group
 
     def readmit(self, request: Request) -> None:
-        """Re-insert an evicted request at its original arrival position."""
-        if self._ordered:
-            self._readmit.append(request)
-            self._rdirty = True
-            self._side.add(request.id)
-        self._members[request.id] = request
-
-    def _settle(self) -> None:
-        """Sort the live tail of the side list and drop its consumed prefix."""
-        live = self._readmit[self._rhead :]
-        live.sort(key=_ARRIVAL_ORDER)
-        self._readmit = live
-        self._rhead = 0
-        self._rdirty = False
+        """Re-insert an evicted request at its arrival position, in the
+        group its key names now."""
+        key = None if self._key is None else self._key(request)
+        group = self._groups.get(key)
+        if group is None:
+            group = self._groups[key] = WaitingGroup(key)
+        group._side.append(request)
+        group._sdirty = True
+        self._members[request.id] = group
 
     def remove(self, req_id: int) -> Request:
         """Take a waiting request out of the queue and return it."""
-        r = self._members.pop(req_id, None)
-        if r is None:
+        group = self._members.pop(req_id, None)
+        if group is None:
             raise EngineError(f"request {req_id} is not waiting")
-        if not self._ordered:
+        main, h = group._main, group._mhead
+        if main and main[h].id == req_id:
+            # the common case: the group's oldest fresh arrival
+            r = main[h]
+            h += 1
+            if h == len(main) or (h > 64 and h * 2 > len(main)):
+                del main[:h]  # drop the consumed prefix once it is most of the list
+                h = 0
+            group._mhead = h
             return r
-        side_ids = self._side
-        if req_id in side_ids:
-            side_ids.discard(req_id)
-            if self._rdirty:
-                self._settle()
-            side = self._readmit
-            h = self._rhead
-            if side[h] is r:
-                h += 1
-                if h == len(side):
-                    side.clear()
-                    h = 0
-                self._rhead = h
-            else:
-                for i in range(h, len(side)):
-                    if side[i] is r:
-                        del side[i]
-                        break
+        if group._sdirty:
+            group._settle()
+        side, h = group._side, group._shead
+        if side and side[h].id == req_id:
+            # the oldest re-entry
+            r = side[h]
+            h += 1
+            if h == len(side):
+                side.clear()
+                h = 0
+            group._shead = h
             return r
-        main = self._main
-        mdead = self._mdead
-        mh = self._mhead
-        if main[mh] is r:
-            mh += 1
-            if mdead:
-                while mh < len(main) and main[mh].id in mdead:
-                    mdead.discard(main[mh].id)
-                    mh += 1
-            if mh == len(main):
-                main.clear()
-                mh = 0
-            self._mhead = mh
-            return r
-        mdead.add(req_id)
-        if len(mdead) * 2 > len(main) - self._mhead:
-            self._main = [e for e in main[self._mhead :] if e.id not in mdead]
-            self._mhead = 0
-            mdead.clear()
-        return r
+        return group._take(req_id)  # an activation out of FIFO order
 
     def __iter__(self) -> Iterator[Request]:
-        """Yield live entries in (arrival_slot, id) order."""
-        if not self._ordered:
-            self._main = sorted(self._members.values(), key=_ARRIVAL_ORDER)
-            self._ordered = True
-        if self._rdirty:
-            self._settle()
-        if not self._mdead:
-            # no tombstones to skip: walk the live parts of the lists natively
-            # (islice would step through their consumed prefixes)
-            main, side = self._main, self._readmit
-            fresh = map(main.__getitem__, range(self._mhead, len(main)))
-            if self._rhead == len(side):
-                return fresh
-            if self._mhead == len(main) or _ARRIVAL_ORDER(side[-1]) < _ARRIVAL_ORDER(main[self._mhead]):
-                # every re-entry orders before the oldest fresh arrival
-                return chain(map(side.__getitem__, range(self._rhead, len(side))), fresh)
-        return self._merged()
-
-    def _merged(self) -> Iterator[Request]:
-        main = self._main
-        side = self._readmit
-        dead = self._mdead
-        i = self._mhead
-        j = self._rhead
-        n = len(main)
-        m = len(side)
-        while j < m and i < n:
-            a = main[i]
-            if a.id in dead:
-                i += 1
-                continue
-            b = side[j]
-            if b.arrival_slot < a.arrival_slot or (
-                b.arrival_slot == a.arrival_slot and b.id < a.id
-            ):
-                yield b
-                j += 1
-            else:
-                yield a
-                i += 1
-        while j < m:
-            yield side[j]
-            j += 1
-        while i < n:
-            a = main[i]
-            i += 1
-            if a.id not in dead:
-                yield a
+        """Yield every waiting request in (arrival_slot, id) order."""
+        groups = self._groups.values()
+        if len(groups) == 1:
+            return iter(next(iter(groups)))
+        return merge(*groups, key=_ARRIVAL_ORDER)
 
 
 @dataclass

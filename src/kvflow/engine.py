@@ -196,11 +196,10 @@ class Engine:
         if kv_capacity <= 0:
             raise ValueError(f"kv_capacity must be positive, got {kv_capacity}")
         self.policy = policy
-        self.state = SimState.fresh(kv_capacity, seed)
+        self.state = SimState(kv_capacity, seed, waiting=WaitingQueue(policy.group_key))
         self.record_events = record_events
         self.events: List[Tuple[int, str, int, int]] = []
         self._calendar: Dict[int, List[Request]] = {}  # end slot -> bookings
-        self._additions: List[Request] = []
         self._completions: List[int] = []
         self._view = PolicyView(
             clock=0,
@@ -208,7 +207,6 @@ class Engine:
             usage=0,
             waiting=self.state.waiting,
             active=self.state.active,
-            additions=self._additions,
             completions=self._completions,
         )
         self._track_classes = track_classes
@@ -245,7 +243,6 @@ class Engine:
         record = self.record_events
         class_waiting = self._class_waiting
         requests = state.requests
-        additions = self._additions
         events = self.events
 
         # phase 1: arrivals
@@ -260,7 +257,6 @@ class Engine:
                 if class_waiting is not None and r.class_id is not None:
                     class_waiting[r.class_id] += 1
             self.arrivals_total += len(slot_requests)
-            additions.extend(slot_requests)
             if record:
                 usage_now = state.usage_total
                 for r in slot_requests:
@@ -271,9 +267,8 @@ class Engine:
         view.clock = t
         view.usage = state.usage_total
         decision = self.policy.decide(view)
-        # the feeds cover one decide call each (see PolicyView.take_additions);
-        # a policy that never reads them must not make them grow
-        additions.clear()
+        # the feed covers one decide call (see PolicyView.take_completions);
+        # a policy that never reads it must not make it grow
         self._completions.clear()
         projected = state.usage_total + len(active)
         prefill = 0
@@ -342,7 +337,6 @@ class Engine:
                 readmit(r)
                 if class_waiting is not None and r.class_id is not None:
                     class_waiting[r.class_id] += 1
-                additions.append(r)
                 if record:
                     events.append((t, EVENT_EVICT, rid, projected))
             self.wasted_tokens += wasted

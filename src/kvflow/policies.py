@@ -10,6 +10,10 @@ a deterministic state machine over (view, internal state, seed stream):
 decide() picks waiting requests to activate this slot, evict() names
 active requests to remove when the projected usage overruns the budget.
 
+The engine's WaitingQueue is the only store of waiting requests. A policy
+declares how it is grouped (group_key) and reads the groups; only the
+engine adds and removes requests.
+
 Projection-based policies share an AdmissionPlanner, an incremental
 feasibility oracle over the exact per-slot footprint trajectory.
 """
@@ -22,12 +26,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
-from operator import add, floordiv, sub
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from operator import add, attrgetter, floordiv, sub
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from kvflow.core import EngineError, Rate, Request
+from kvflow.core import EngineError, Rate, Request, WaitingGroup, WaitingQueue, as_fraction
+
+if TYPE_CHECKING:
+    from kvflow.workload import WorkloadSpec
 
 WaitingView = namedtuple(
     "WaitingView", ["id", "prompt_len", "class_id", "decode_len", "arrival_slot"]
@@ -74,7 +81,6 @@ class PolicyView:
         "usage",
         "_waiting",
         "_active",
-        "_additions",
         "_completions",
     )
 
@@ -83,9 +89,8 @@ class PolicyView:
         clock: int,
         kv_capacity: int,
         usage: int,
-        waiting: Iterable[Request],
+        waiting: WaitingQueue,
         active: Dict[int, Request],
-        additions: Optional[List[Request]] = None,
         completions: Optional[List[int]] = None,
     ) -> None:
         self.clock = clock
@@ -93,7 +98,6 @@ class PolicyView:
         self.usage = usage
         self._waiting = waiting
         self._active = active
-        self._additions = additions
         self._completions = completions
 
     @property
@@ -107,38 +111,31 @@ class PolicyView:
     def iter_waiting(self) -> Iterator[WaitingView]:
         return map(_waiting_view, self._waiting)
 
-    def take_additions(self) -> List[WaitingView]:
-        """Entries that joined the waiting queue since the last decide call.
-
-        Arrivals and eviction re-entries both land here; policies that keep
-        an internal index consume this instead of rescanning the queue.
-        """
-        return list(map(_waiting_view, self._take_new()))
-
-    # The two accessors below hand out the engine's own Request records.
-    # Copying each into a view costs about as much as a built-in policy's
-    # whole per-request work, so those policies read the records directly;
-    # they must not read decode_len where output_known is false, nor write.
-
-    def _take_new(self) -> List[Request]:
-        """take_additions, as the records themselves."""
-        if self._additions is None:
-            return list(self._waiting)
-        added = self._additions[:]
-        self._additions.clear()
-        return added
+    # The accessors below hand out the engine's own records. Copying
+    # each into a view costs about as much as a built-in policy's whole
+    # per-request work, so those policies read the records directly; they
+    # must not read decode_len where output_known is false, nor write.
 
     def _waiting_records(self) -> Iterator[Request]:
         """iter_waiting, as the records themselves."""
         return iter(self._waiting)
 
+    def _waiting_groups(self) -> Dict[Hashable, WaitingGroup]:
+        """The waiting queue's groups (some may be empty), by the policy's
+        group key."""
+        return self._waiting.groups
+
+    def _waiting_heads(self) -> List[Tuple[Request, WaitingGroup]]:
+        """(first request, group) for every nonempty waiting group."""
+        return self._waiting.heads()
+
     def take_completions(self) -> List[int]:
         """Ids of requests that finished since the last decide call.
 
-        Complements take_additions for policies that mirror the active set:
-        an id showing up here means the engine released it at the end of the
-        previous slot.  Returns an empty list when the engine does not feed
-        a completion buffer (hand-built views in tests).
+        For policies that mirror the active set: an id showing up here
+        means the engine released it at the end of the previous slot.
+        Returns an empty list when the engine does not feed a completion
+        buffer (hand-built views in tests).
         """
         if self._completions is None:
             return []
@@ -207,16 +204,8 @@ class BudgetSpec:
 
     @classmethod
     def for_scalar(cls, budget: Rate, cap: Optional[int] = None) -> "BudgetSpec":
-        b = _as_fraction(budget)
+        b = as_fraction(budget)
         return cls(scalar=b, cap=int(cap) if cap is not None else -(-b.numerator // b.denominator))
-
-
-def _as_fraction(value: Rate) -> Fraction:
-    # float values go through their shortest decimal repr so that e.g.
-    # 0.1 means exactly one tenth in comparisons
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
 
 
 def _prefix_max(values: List[int]) -> List[int]:
@@ -259,10 +248,6 @@ class AdmissionPlanner:
     now, so the vector shifts down by one place and only its deepest value
     is computed afresh.
     """
-
-    # beyond this depth the trajectory is evaluated analytically per query
-    # instead of being densified; rare long assumption windows stay cheap
-    DENSE_CAP = 96
 
     def __init__(
         self,
@@ -432,8 +417,6 @@ class AdmissionPlanner:
         self._front = None
 
     def _ensure(self, upto: int) -> None:
-        if upto > self.DENSE_CAP:
-            upto = self.DENSE_CAP
         if self._vec is None or len(self._vec) < upto:
             self._densify(upto)
 
@@ -442,55 +425,13 @@ class AdmissionPlanner:
         front = self._front
         if front is None:
             front = self._front = _prefix_max(self._vec)
-        n = len(front)
-        if x <= n:
-            return front[x - 1]
-        t = self._clock
-        keys = self._keys
-        nk = len(keys)
-        best = front[n - 1]
-        # past the cache only bins later than t + n still hold entries, and
-        # between bin boundaries the trajectory rises, so each segment peaks
-        # at its right boundary (or at x, whichever comes first)
-        j0 = bisect_right(keys, t + n)
-        sm = 0
-        sc = 0
-        tails: List[Tuple[int, int, int]] = []
-        for i in range(nk - 1, j0 - 1, -1):
-            sm += self._bmass[i]
-            sc += self._bcnt[i]
-            tails.append((keys[i] - t, sm, sc))
-        hit_x = False
-        for d, m, c in reversed(tails):
-            if d >= x:
-                d = x
-                hit_x = True
-            v = m + (t + d) * c + d
-            if v > best:
-                best = v
-            if hit_x:
-                break
-        if not hit_x and x > best:
-            best = x  # bare depth term past the last bin
-        return best
+        return front[x - 1]
 
     def projection(self, horizon: int) -> List[int]:
         """base(1..horizon); matches kvflow.core.peak_projection exactly."""
         self._ensure(horizon)
         vec = self._vec
-        n = len(vec)
-        out = [vec[d] - (d + 1) for d in range(min(horizon, n))]
-        if horizon > n:
-            t = self._clock
-            keys = self._keys
-            bmass = self._bmass
-            bcnt = self._bcnt
-            nk = len(keys)
-            for d in range(n + 1, horizon + 1):
-                j = bisect_left(keys, t + d)
-                mass = sum(bmass[j:]) + (t + d) * sum(bcnt[j:])
-                out.append(mass)
-        return out
+        return [vec[d] - (d + 1) for d in range(horizon)]
 
     def feasible(self, prompt_len: int, assumed_len: int) -> bool:
         if assumed_len < 1:
@@ -523,55 +464,15 @@ class AdmissionPlanner:
         self._ensure(assumed_len)
         M = self.kv_capacity
         l = prompt_len
-        vec = self._vec
-        n = len(vec)
-        rng = assumed_len if assumed_len < n else n
-        room = M - l - max(vec[:rng])
+        vec = self._vec[:assumed_len]
+        room = M - l - max(vec)
         if room < 0:
             return 0  # some depth has no room for even one copy
-        if 1 + room // (l + rng) >= limit:
+        if 1 + room // (l + assumed_len) >= limit:
             # the least room over the largest divisor already allows limit
-            best = limit
-        else:
-            rooms = map(sub, repeat(M - l), vec[:rng])
-            best = min(limit, 1 + min(map(floordiv, rooms, range(l + 1, l + 1 + rng))))
-        if assumed_len > n:
-            # depths past the dense cache: within a bin segment the value
-            # rises and the divisor grows, so the binding point of each
-            # segment is its right boundary
-            t = self._clock
-            keys = self._keys
-            nk = len(keys)
-            j0 = bisect_right(keys, t + n)
-            sm = 0
-            sc = 0
-            tails: List[Tuple[int, int, int]] = []
-            for i in range(nk - 1, j0 - 1, -1):
-                sm += self._bmass[i]
-                sc += self._bcnt[i]
-                tails.append((keys[i] - t, sm, sc))
-            hit_x = False
-            for d, m, c in reversed(tails):
-                if d >= assumed_len:
-                    d = assumed_len
-                    hit_x = True
-                room = M - l - (m + (t + d) * c + d)
-                if room < 0:
-                    return 0
-                cap = 1 + room // (l + d)
-                if cap < best:
-                    best = cap
-                if hit_x:
-                    break
-            if not hit_x:
-                d = assumed_len
-                room = M - l - d
-                if room < 0:
-                    return 0
-                cap = 1 + room // (l + d)
-                if cap < best:
-                    best = cap
-        return best
+            return limit
+        rooms = map(sub, repeat(M - l), vec)
+        return min(limit, 1 + min(map(floordiv, rooms, range(l + 1, l + 1 + assumed_len))))
 
     def admit_many(
         self,
@@ -629,65 +530,6 @@ class AdmissionPlanner:
                 self._expiry.setdefault(rem_abs, []).append(rid)
 
 
-class _FifoGroup:
-    """FIFO of request ids in (arrival_slot, id) order, O(1) amortized pops.
-
-    The keys sit in two parallel int lists rather than as pairs: ints are
-    invisible to the cyclic garbage collector, so a long backlog adds
-    nothing to its passes.
-    """
-
-    __slots__ = ("_slots", "_ids", "_head")
-
-    def __init__(self) -> None:
-        self._slots: List[int] = []
-        self._ids: List[int] = []
-        self._head = 0
-
-    def __len__(self) -> int:
-        return len(self._ids) - self._head
-
-    def push(self, arrival_slot: int, req_id: int) -> None:
-        slots = self._slots
-        ids = self._ids
-        if slots and (arrival_slot < slots[-1] or (arrival_slot == slots[-1] and req_id < ids[-1])):
-            # re-entry after an eviction lands back at its arrival position
-            # (if everything was popped, that position is the end anyway)
-            i = self._position(arrival_slot, req_id)
-            slots.insert(i, arrival_slot)
-            ids.insert(i, req_id)
-        else:
-            slots.append(arrival_slot)
-            ids.append(req_id)
-
-    def _position(self, arrival_slot: int, req_id: int) -> int:
-        """Index of the first queued key at or after (arrival_slot, req_id)."""
-        slots = self._slots
-        lo = bisect_left(slots, arrival_slot, self._head)
-        hi = bisect_right(slots, arrival_slot, lo)
-        return bisect_left(self._ids, req_id, lo, hi)
-
-    def head(self) -> Tuple[int, int]:
-        """(arrival_slot, id) of the first queued record."""
-        return self._slots[self._head], self._ids[self._head]
-
-    def count_before(self, arrival_slot: int, req_id: int) -> int:
-        """How many queued records order strictly before (arrival_slot, id)."""
-        return self._position(arrival_slot, req_id) - self._head
-
-    def pop_many(self, count: int) -> List[int]:
-        """Pop the first count records, returning their ids in FIFO order."""
-        h = self._head
-        ids = self._ids[h : h + count]
-        h += count
-        if h > 64 and h * 2 > len(self._ids):
-            del self._ids[:h]
-            del self._slots[:h]
-            h = 0
-        self._head = h
-        return ids
-
-
 class Policy:
     """Base policy: decide() activations, evict() on overflow.
 
@@ -699,6 +541,17 @@ class Policy:
     name = "policy"
     requires_known_outputs = False
     requires_classes = False
+    # how the engine groups the waiting requests: None keeps one FIFO; a
+    # method maps a request to its group's key each time it (re-)enters
+    group_key: Optional[Callable[[Request], Hashable]] = None
+
+    def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
+        """Why this policy cannot run on the workload, or None if it can."""
+        if self.requires_known_outputs and not spec.outputs_known:
+            return "needs visible output lengths"
+        if self.requires_classes and spec.classes is None:
+            return "needs class structure"
+        return None
 
     def reset(self, seed_seq: Optional[np.random.SeedSequence] = None) -> None:
         """Drop internal state before a run; seed_seq feeds any randomness."""
@@ -734,23 +587,21 @@ class PerClassFlowControl(Policy):
         if not budgets or any(b < 0 for b in budgets):
             raise ValueError(f"per-class budgets must be nonnegative ints, got {budgets}")
         self.budgets = budgets
-        self._queues: List[_FifoGroup] = [_FifoGroup() for _ in budgets]
 
-    def reset(self, seed_seq=None) -> None:
-        self._queues = [_FifoGroup() for _ in self.budgets]
+    # one group per class id; decide rejects any other id
+    group_key = attrgetter("class_id")
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        queues = self._queues
-        nclasses = len(queues)
-        for r in view._take_new():
-            k = r.class_id
-            if k is None or not 0 <= k < nclasses:
-                raise EngineError(f"request {r.id} has unknown class id {k!r}")
-            queues[k].push(r.arrival_slot, r.id)
+        groups = view._waiting_groups()
+        classes = range(len(self.budgets))
+        for k, group in groups.items():
+            if k not in classes:
+                raise EngineError(f"request {group.head().id} has unknown class id {k!r}")
         acts: List[int] = []
-        for q, budget in zip(queues, self.budgets):
-            if budget and len(q):
-                acts.extend(q.pop_many(min(budget, len(q))))
+        for k, budget in enumerate(self.budgets):
+            group = groups.get(k)
+            if budget and group:
+                acts.extend([r.id for r in islice(group, budget)])
         return ActivationDecision(acts)
 
 
@@ -765,7 +616,7 @@ class ScalarFlowControl(Policy):
     name = "flow_scalar"
 
     def __init__(self, budget: Rate, cap: Optional[int] = None) -> None:
-        b = _as_fraction(budget)
+        b = as_fraction(budget)
         if b <= 0:
             raise ValueError(f"budget must be positive, got {budget}")
         self.budget = b
@@ -810,7 +661,7 @@ class AlphaProtection(Policy):
     name = "alpha_protection"
 
     def __init__(self, alpha: Union[float, str, Fraction]) -> None:
-        a = _as_fraction(alpha)
+        a = as_fraction(alpha)
         if not 0 <= a < 1:
             raise ValueError(f"alpha must be in [0, 1), got {alpha}")
         self.alpha = a
@@ -854,6 +705,12 @@ class MemoryConstrained(Policy):
             raise ValueError(f"assume_max_output must be >= 1, got {assume_max_output}")
         self.assume_max_output = assume_max_output
         self._planner_state: Optional[AdmissionPlanner] = None
+
+    def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
+        reason = super().applicable(spec)
+        if reason is None and not spec.outputs_known and self.assume_max_output is None:
+            return "needs assume_max_output when output lengths are hidden"
+        return reason
 
     def reset(self, seed_seq=None) -> None:
         self._planner_state = None
@@ -951,56 +808,42 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
 
     def __init__(self) -> None:
         super().__init__(assume_max_output=None)
-        self._groups: Dict[Tuple[int, int], _FifoGroup] = {}
 
-    def reset(self, seed_seq=None) -> None:
-        self._groups = {}
-        self._planner_state = None
+    def group_key(self, r: Request) -> Tuple[int, int]:
+        if not r.output_known:
+            raise PolicyApplicabilityError("shortest-first admission needs visible output lengths")
+        return (r.decode_len, r.prompt_len)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
         planner = self._sync_planner(view)
-        groups = self._groups
-        for r in view._take_new():
-            if not r.output_known:
-                raise PolicyApplicabilityError(
-                    "shortest-first admission needs visible output lengths"
-                )
-            key = (r.decode_len, r.prompt_len)
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _FifoGroup()
-            group.push(r.arrival_slot, r.id)
-        heap = []
-        for key, group in groups.items():
-            if len(group):
-                arrival_slot, head_id = group.head()
-                heap.append((key[0], arrival_slot, head_id, key))
-        if not heap:
-            return ActivationDecision([])
+        # ids are unique, so comparisons never reach the group
+        heap = [(g.key[0], h.arrival_slot, h.id, g) for h, g in view._waiting_heads()]
         heapify(heap)
+        taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
         acts: List[int] = []
         while heap:
-            _, _, _, key = heappop(heap)
-            group = self._groups[key]
-            decode_len, prompt_len = key
-            # admit this group's FIFO prefix in bulk, up to the point where
-            # another group with the same decode length is due to interleave
-            limit = len(group)
-            if heap and heap[0][0] == decode_len:
-                limit = group.count_before(heap[0][1], heap[0][2])
+            decode_len, _, _, group = heappop(heap)
+            prompt_len = group.key[1]
+            start = taken.get(group, 0)
+            limit = len(group) - start
             take = planner.max_admissible(prompt_len, decode_len, limit)
             if take == 0:
                 # every waiting request with this signature is equally
                 # infeasible for the rest of the slot: skip the group
                 continue
-            ids = group.pop_many(take)
+            # admit this group's FIFO run in bulk, up to the point where
+            # another group with the same decode length is due to interleave
+            if heap and heap[0][0] == decode_len:
+                limit = group.count_before(heap[0][1], heap[0][2]) - start
+                take = min(take, limit)
+            run = list(islice(group, start, start + take + 1))  # and the next head
+            ids = [r.id for r in run[:take]]
             planner.admit_many(take, prompt_len, decode_len, req_ids=ids, exact=True)
             acts.extend(ids)
-            if take < limit:
-                continue  # the group's next member no longer fits: skip it
-            if len(group):
-                arrival_slot, head_id = group.head()
-                heappush(heap, (decode_len, arrival_slot, head_id, key))
+            taken[group] = start + take
+            if take < limit or len(run) == take:
+                continue  # the group's next member no longer fits, or there is none
+            heappush(heap, (decode_len, run[take].arrival_slot, run[take].id, group))
         return ActivationDecision(acts)
 
 
@@ -1023,7 +866,6 @@ class AdaptivePrediction(Policy):
             raise ValueError(f"min_output must be >= 1, got {min_output}")
         self.min_output = min_output
         self._pred: Dict[int, int] = {}
-        self._groups: Dict[Tuple[int, int], _FifoGroup] = {}
         self._planner_state: Optional[AdmissionPlanner] = None
         # current admission episode: id -> (prediction, prompt_len)
         self._meta: Dict[int, Tuple[int, int]] = {}
@@ -1036,10 +878,14 @@ class AdaptivePrediction(Policy):
 
     def reset(self, seed_seq=None) -> None:
         self._pred = {}
-        self._groups = {}
         self._planner_state = None
         self._meta = {}
         self._stacks = {}
+
+    def group_key(self, r: Request) -> Tuple[int, int]:
+        # read on every (re-)entry, so an evicted request waits under the
+        # prediction its eviction raised
+        return (r.prompt_len, self._pred.get(r.id, self.min_output))
 
     def prediction(self, req_id: int) -> int:
         return self._pred.get(req_id, self.min_output)
@@ -1074,44 +920,33 @@ class AdaptivePrediction(Policy):
 
     def decide(self, view: PolicyView) -> ActivationDecision:
         planner = self._sync_planner(view)
-        groups = self._groups
-        pred = self._pred
-        min_output = self.min_output
-        for r in view._take_new():
-            rid = r.id
-            key = (r.prompt_len, pred.get(rid, min_output))
-            group = groups.get(key)
-            if group is None:
-                group = groups[key] = _FifoGroup()
-            group.push(r.arrival_slot, rid)
-        heap = []
-        for key, group in groups.items():
-            if len(group):
-                heap.append((*group.head(), key))
-        if not heap:
-            return ActivationDecision([])
+        # ids are unique, so comparisons never reach the group
+        heap = [(h.arrival_slot, h.id, g) for h, g in view._waiting_heads()]
         heapify(heap)
+        taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
         acts: List[int] = []
         while heap:
-            _, _, key = heappop(heap)
-            group = self._groups[key]
-            prompt_len, predicted = key
-            # the group's next members stay ahead of every other candidate
-            # until the best other head interleaves: admit that run in bulk
-            limit = len(group)
-            if heap:
-                limit = group.count_before(heap[0][0], heap[0][1])
+            _, _, group = heappop(heap)
+            prompt_len, predicted = group.key
+            start = taken.get(group, 0)
+            limit = len(group) - start
             take = planner.max_admissible(prompt_len, predicted, limit)
             if take == 0:
                 continue  # head infeasible: skip the whole group this slot
-            ids = group.pop_many(take)
+            # the group's next members stay ahead of every other candidate
+            # until the best other head interleaves: admit that run in bulk
+            if heap:
+                limit = group.count_before(heap[0][0], heap[0][1]) - start
+                take = min(take, limit)
+            run = list(islice(group, start, start + take + 1))  # and the next head
+            ids = [r.id for r in run[:take]]
             planner.admit_many(take, prompt_len, predicted, req_ids=ids, exact=False)
             self._register_many(ids, prompt_len, predicted)
             acts.extend(ids)
-            if take < limit:
-                continue  # the next member no longer fits: skip the group
-            if len(group):
-                heappush(heap, (*group.head(), key))
+            taken[group] = start + take
+            if take < limit or len(run) == take:
+                continue  # the next member no longer fits, or there is none
+            heappush(heap, (run[take].arrival_slot, run[take].id, group))
         return ActivationDecision(acts)
 
     def evict(self, view: PolicyView, required_release: int) -> EvictionDecision:
@@ -1177,10 +1012,7 @@ def make_policy(name: str, params: Optional[dict] = None) -> Policy:
         if name == "flow_per_class":
             policy: Policy = PerClassFlowControl(budgets=params.pop("budgets"))
         elif name == "flow_scalar":
-            budget = params.pop("budget")
-            if isinstance(budget, str):
-                budget = Fraction(budget)
-            policy = ScalarFlowControl(budget=budget, cap=params.pop("cap", None))
+            policy = ScalarFlowControl(budget=params.pop("budget"), cap=params.pop("cap", None))
         elif name == "alpha_protection":
             policy = AlphaProtection(alpha=params.pop("alpha"))
         elif name == "mc":

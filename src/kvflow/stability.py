@@ -25,10 +25,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from kvflow.core import RequestClass, workload_tokens
+from kvflow.core import RequestClass, as_fraction, workload_tokens
 from kvflow.workload import LengthDistribution
 
 NEGLIGIBLE_LOG = -700.0
@@ -36,27 +35,18 @@ NEGLIGIBLE_LOG = -700.0
 Rate = Union[int, Fraction]
 
 
-def _as_fraction(x) -> Fraction:
-    """Exact conversion; floats go through Fraction's exact binary value."""
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 def _norm_classes(classes) -> List[Tuple[int, int, Optional[Fraction]]]:
     """Accept RequestClass objects, (l, o) pairs, or (l, o, rate) triples."""
     out: List[Tuple[int, int, Optional[Fraction]]] = []
     for c in classes:
         if isinstance(c, RequestClass):
-            out.append((c.prompt_len, c.decode_len, Fraction(c.rate)))
+            out.append((c.prompt_len, c.decode_len, as_fraction(c.rate)))
         else:
             tup = tuple(c)
             if len(tup) == 2:
                 out.append((int(tup[0]), int(tup[1]), None))
             elif len(tup) == 3:
-                out.append((int(tup[0]), int(tup[1]), _as_fraction(tup[2])))
+                out.append((int(tup[0]), int(tup[1]), as_fraction(tup[2])))
             else:
                 raise ValueError(f"class entry must be (l, o) or (l, o, rate), got {c!r}")
     if not out:
@@ -169,7 +159,7 @@ def check_sufficient_known(
     else:
         if len(rates) != len(norm):
             raise ValueError(f"{len(norm)} classes but {len(rates)} rates")
-        rate_list = [_as_fraction(r) for r in rates]
+        rate_list = [as_fraction(r) for r in rates]
     budgeted = sum(b * workload_tokens(l, o) for b, (l, o, _) in zip(budgets, norm))
     per_class = tuple(b > r for b, r in zip(budgets, rate_list))
     return SufficiencyCheck(
@@ -191,7 +181,7 @@ def check_necessary_unknown(
     is finite by construction, so the bounded-support requirement holds
     with cap max_len(). An empty mix (None) offers zero load.
     """
-    rate = _as_fraction(rate)
+    rate = as_fraction(rate)
     if rate < 0:
         raise ValueError(f"rate must be nonnegative, got {rate}")
     load = Fraction(0) if length_dist is None else rate * length_dist.mean_workload()
@@ -256,7 +246,7 @@ def overflow_bound(
     if epsilon is None:
         if b is None or length_dist is None:
             raise ValueError("pass epsilon, or b together with length_dist")
-        b = _as_fraction(b)
+        b = as_fraction(b)
         if A < math.ceil(b):
             raise ValueError(f"A={A} is below ceil(b)={math.ceil(b)}")
         if length_dist.max_len() > C:
@@ -267,7 +257,7 @@ def overflow_bound(
     else:
         if b is not None or length_dist is not None:
             raise ValueError("pass either epsilon or (b, length_dist), not both")
-        epsilon = _as_fraction(epsilon)
+        epsilon = as_fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(
             f"slack epsilon must be positive, got {epsilon}; "
@@ -366,7 +356,7 @@ def build_report(
     necessary = check_necessary_unknown(length_dist, rate, capacity)
     overflow = None
     if scalar_budget is not None and horizon is not None:
-        b = _as_fraction(scalar_budget)
+        b = as_fraction(scalar_budget)
         eps = 1 - b * length_dist.mean_workload() / capacity
         if eps > 0:
             overflow = overflow_bound(

@@ -17,6 +17,7 @@ from kvflow.core import (
     usage,
     workload_tokens,
 )
+from kvflow.policies import PolicyView
 
 
 def brute_lifetime_tokens(prompt_len: int, decode_len: int) -> int:
@@ -211,6 +212,62 @@ class TestWaitingQueue:
                 assert len(q) == len(live)
                 assert all(rid in q for rid in live)
             assert [r.id for r in q] == [r.id for r in sorted(live.values(), key=Request.sort_key)]
+
+    def test_grouped_queue_matches_sorted_reference(self):
+        # requests keyed into groups; a re-entering request may come back
+        # under another key (as amin's raised prediction moves it), and
+        # removals hit a group's head mostly but anywhere in it sometimes
+        rng = random.Random(11)
+        for _ in range(40):
+            moved = {}  # id -> the key it re-enters under
+            q = WaitingQueue(lambda r: moved.get(r.id, r.prompt_len % 3))
+            live = {}  # id -> (request, its group key)
+            taken = []
+            next_id, slot = 1, 1
+            for _ in range(250):
+                op = rng.random()
+                if op < 0.35:
+                    for _ in range(rng.randint(0, 4)):
+                        r = Request(next_id, rng.randint(1, 6), 1, slot)
+                        q.push(r)
+                        live[r.id] = (r, r.prompt_len % 3)
+                        next_id += 1
+                    slot += rng.randint(0, 1)
+                elif op < 0.5 and taken:
+                    r = taken.pop(rng.randrange(len(taken)))
+                    if rng.random() < 0.5:
+                        moved[r.id] = rng.randint(0, 4)
+                    q.readmit(r)
+                    live[r.id] = (r, moved.get(r.id, r.prompt_len % 3))
+                elif op < 0.85 and live:
+                    key = rng.choice(sorted({k for _, k in live.values()}))
+                    members = sorted((r for r, k in live.values() if k == key), key=Request.sort_key)
+                    r = members[0] if rng.random() < 0.7 else rng.choice(members)
+                    assert q.remove(r.id) is r
+                    del live[r.id]
+                    taken.append(r)
+                self.check_groups(q, live, (rng.randint(0, slot + 1), rng.randint(0, next_id)))
+
+    @staticmethod
+    def check_groups(q, live, probe):
+        expected = {}
+        for r, key in live.values():
+            expected.setdefault(key, []).append(r)
+        for members in expected.values():
+            members.sort(key=Request.sort_key)
+        groups = q.groups
+        assert {k for k, g in groups.items() if len(g)} == set(expected)
+        for key, members in expected.items():
+            group = groups[key]
+            assert len(group) == len(members)
+            assert [r.id for r in group] == [r.id for r in members]
+            assert group.head() is members[0]
+            assert group.count_before(*probe) == sum(r.sort_key() < probe for r in members)
+        assert {g.key: h.id for h, g in q.heads()} == {k: m[0].id for k, m in expected.items()}
+        merged = sorted((r for r, _ in live.values()), key=Request.sort_key)
+        view = PolicyView(clock=0, kv_capacity=1, usage=0, waiting=q, active={})
+        assert [w.id for w in view.iter_waiting()] == [r.id for r in merged]
+        assert len(q) == len(live)
 
     def test_remove_of_an_absent_id_raises(self):
         q = WaitingQueue()

@@ -2,6 +2,8 @@
 an event-log replay that recomputes the usage series independently."""
 
 import csv
+import dataclasses
+import hashlib
 import json
 import random
 from collections import defaultdict
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from kvflow.cli import write_usage_series_csv
+from kvflow.presets import builtin_trace_path
 from kvflow.core import EngineError, OversizedRequestError, Request, RequestClass, usage
 from kvflow.engine import (
     _EVENT_CHUNK_ROWS,
@@ -27,7 +30,7 @@ from kvflow.policies import (
     Policy,
     make_policy,
 )
-from kvflow.workload import WorkloadSpec, generate_arrivals
+from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
 
 
 def req(rid, l, o, arrival, known=True, class_id=None):
@@ -236,7 +239,7 @@ class TestStateValidation:
             name = "stubborn"
 
             def decide(self, view):
-                return ActivationDecision([w.id for w in view.take_additions()])
+                return ActivationDecision([w.id for w in view.iter_waiting()])
 
             def evict(self, view, required_release):
                 return EvictionDecision([])
@@ -250,7 +253,7 @@ class TestStateValidation:
             name = "wild"
 
             def decide(self, view):
-                return ActivationDecision([w.id for w in view.take_additions()])
+                return ActivationDecision([w.id for w in view.iter_waiting()])
 
             def evict(self, view, required_release):
                 return EvictionDecision([777])
@@ -575,3 +578,82 @@ class TestWastedWorkAccounting:
         useful = int(r.completed_decode_len.sum())
         assert r.generated_tokens == useful + r.wasted_tokens + in_flight
         assert r.generated_tokens == int(r.decode_tokens.sum())
+
+
+def result_digest(r):
+    """sha256 over every RunResult array and counter plus the event log."""
+    h = hashlib.sha256()
+    for f in dataclasses.fields(r):
+        value = getattr(r, f.name)
+        h.update(f.name.encode())
+        if isinstance(value, np.ndarray):
+            h.update(f"{value.dtype}{value.shape}".encode())
+            h.update(value.tobytes())
+        else:
+            h.update(repr(value).encode())
+    return h.hexdigest()
+
+
+class TestPinnedDigests:
+    """Refactors of the engine, its queue and the policies must not change
+    any result: these digests were taken before the waiting set moved into
+    the engine-held groups."""
+
+    # (policy, params, digest); alpha 0.3 is the one alpha_protection run
+    # that overflows within 400 slots, so it covers whole-set re-entries
+    OVERLOAD = [
+        ("flow_per_class", {"budgets": [4, 4, 4]}, "cdeb7604ec395ba086f35c89e1eedfef430aa3e5957acb8855bf4777a3064784"),
+        ("flow_scalar", {"budget": 12}, "323e897bb3af13d9d9c9b869837ac6ae33e5ca2c96a79fae3d3b9bab7554040d"),
+        ("alpha_protection", {"alpha": 0.6}, "85be25b80843f819ee2978f683a464ad126c8d5e533798b71f052708175bfc9a"),
+        ("alpha_protection", {"alpha": 0.3}, "7d04fb849e6fbd632e07df44fe65854718d3c9754e3223189f6cfb5ecf978f8e"),
+        ("mc", {}, "98b0e49b211473aec9a9864632cac1f44fae9c7ede11e64637b7a058db0d195b"),
+        ("mc_sf", {}, "18290c4c7e5cea855302f7bc7638c4ff5f6de5e833a84dca4d42db706e81c982"),
+        ("amin", {"min_output": 20}, "1bfb6556b1cc5b5b42ba137923705a64fcacf3cd892bd55c43604b8255fec421"),
+    ]
+    HIDDEN = [
+        ("flow_scalar", {"budget": 12}, "bb1d486969a76ab94ac0ec58990da8c4171b641a27404b46d2ee13c122bfb2cd"),
+        ("alpha_protection", {"alpha": 0.6}, "dc4e22ebb7a2b17685ffa4c72690af9825684eee8d7ad3d45b59b6dcc9473dba"),
+        ("mc", {"assume_max_output": 200}, "46bfe480be842d0f8775740ee742981e200e0e92bd4ce29276c6b6b4e706607a"),
+        ("amin", {"min_output": 1}, "a1f2ca1b4f44b6c864f270db0061fb44f25e55c9d7c99203fad01b645a907bf9"),
+    ]
+
+    @staticmethod
+    def overload_stream():
+        # the synthetic_overloaded mix at rate 5 per class, 123% of M
+        classes = [RequestClass(10, o, 5) for o in (20, 40, 60)]
+        return generate_arrivals(WorkloadSpec.synthetic(classes, horizon=400), seed=0)
+
+    @staticmethod
+    def hidden_stream():
+        records = ingest_trace(builtin_trace_path("trace_1k")).records
+        picks = np.random.default_rng(7).integers(0, len(records), size=5400)
+        spec = WorkloadSpec.from_trace(
+            [records[i] for i in picks.tolist()], rate=12, horizon=400, outputs_known=False
+        )
+        return generate_arrivals(spec, seed=1)
+
+    @pytest.mark.parametrize("name, params, expected", OVERLOAD)
+    def test_overload(self, name, params, expected):
+        r = run(
+            self.overload_stream(),
+            make_policy(name, params),
+            kv_capacity=16492,
+            seed=0,
+            record_events=True,
+            track_classes=3,
+        )
+        assert result_digest(r) == expected
+
+    @pytest.mark.parametrize("name, params, expected", HIDDEN)
+    def test_hidden_outputs(self, name, params, expected):
+        r = run(self.hidden_stream(), make_policy(name, params), kv_capacity=16492, seed=1, record_events=True)
+        assert r.exhausted_slot is None
+        assert result_digest(r) == expected
+
+    def test_mc_sf_interleaves_equal_decode_lengths(self):
+        # two classes share decode length 40, so mc_sf admits runs of two
+        # groups in turn; the overload mix above never interleaves
+        classes = [RequestClass(l, o, 5) for l, o in ((10, 40), (30, 40), (10, 20))]
+        stream = generate_arrivals(WorkloadSpec.synthetic(classes, horizon=400), seed=0)
+        r = run(stream, make_policy("mc_sf", {}), kv_capacity=16492, seed=0, record_events=True, track_classes=3)
+        assert result_digest(r) == "2fc3d599ace69e0ac563be8ee22a59d00ba0a00ed363c77291ab3c83b3668bb5"

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvflow.core import Request, peak_projection
+from kvflow.core import Request, WaitingQueue, peak_projection
 from kvflow.policies import (
     ActivationDecision,
     AdmissionPlanner,
@@ -50,16 +50,20 @@ def active_req(req_id, prompt_len, decode_len, activation_slot, known=True):
     return r
 
 
-def view_of(clock, kv_capacity, waiting=(), active=(), additions=None):
+def view_of(clock, kv_capacity, waiting=(), active=(), policy=None):
+    """A view over a real WaitingQueue, grouped by the policy's group key
+    and filled in arrival order, as the engine fills it."""
+    queue = WaitingQueue(policy.group_key if policy is not None else None)
+    for r in sorted(waiting, key=Request.sort_key):
+        queue.push(r)
     active_map = {r.id: r for r in active}
     used = sum(r.prompt_len + (clock - r.activation_slot) for r in active_map.values())
     return PolicyView(
         clock=clock,
         kv_capacity=kv_capacity,
         usage=used,
-        waiting=list(waiting),
+        waiting=queue,
         active=active_map,
-        additions=additions,
     )
 
 
@@ -73,24 +77,24 @@ class TestPerClassFlowControl:
             waiting_req(3, 10, 20, class_id=0),
             waiting_req(4, 10, 40, class_id=1),
         ]
-        d = p.decide(view_of(1, 10**6, waiting))
+        d = p.decide(view_of(1, 10**6, waiting, policy=p))
         assert d.to_activate == [1, 2, 4]
 
     def test_leftover_waits_for_next_slot(self):
         p = PerClassFlowControl(budgets=(1,))
         p.reset()
         waiting = [waiting_req(1, 5, 5, class_id=0), waiting_req(2, 5, 5, class_id=0)]
-        d1 = p.decide(view_of(1, 10**6, waiting))
+        d1 = p.decide(view_of(1, 10**6, waiting, policy=p))
         assert d1.to_activate == [1]
         # next slot, nothing new arrives
-        d2 = p.decide(view_of(2, 10**6, [waiting[1]], additions=[]))
+        d2 = p.decide(view_of(2, 10**6, [waiting[1]], policy=p))
         assert d2.to_activate == [2]
 
     def test_unknown_class_id_rejected(self):
         p = PerClassFlowControl(budgets=(1,))
         p.reset()
         with pytest.raises(Exception, match="class id"):
-            p.decide(view_of(1, 100, [waiting_req(1, 5, 5, class_id=7)]))
+            p.decide(view_of(1, 100, [waiting_req(1, 5, 5, class_id=7)], policy=p))
 
     def test_never_evicts_by_design_but_falls_back_safely(self):
         # the inherited fallback still produces a valid decision if a
@@ -292,7 +296,7 @@ class TestShortestFirst:
             waiting_req(2, 10, 2),
             waiting_req(3, 10, 5),
         ]
-        d = p.decide(view_of(1, 10**6, waiting))
+        d = p.decide(view_of(1, 10**6, waiting, policy=p))
         assert d.to_activate == [2, 3, 1]
 
     def test_skips_infeasible_and_continues(self):
@@ -300,7 +304,7 @@ class TestShortestFirst:
         p.reset()
         waiting = [waiting_req(1, 30, 2), waiting_req(2, 1, 5)]
         # (30, 2) peaks at 32 > 12, skipped; (1, 5) peaks at 6, admitted
-        d = p.decide(view_of(1, 12, waiting))
+        d = p.decide(view_of(1, 12, waiting, policy=p))
         assert d.to_activate == [2]
 
     def test_tie_by_arrival_then_id(self):
@@ -311,18 +315,18 @@ class TestShortestFirst:
             waiting_req(2, 10, 4, arrival=1),
             waiting_req(3, 10, 4, arrival=1),
         ]
-        d = p.decide(view_of(3, 10**6, waiting))
+        d = p.decide(view_of(3, 10**6, waiting, policy=p))
         assert d.to_activate == [2, 3, 5]
 
     def test_queue_persists_across_slots(self):
         p = ShortestFirstMemoryConstrained()
         p.reset()
         waiting = [waiting_req(1, 10, 4), waiting_req(2, 10, 2)]
-        d1 = p.decide(view_of(1, 16, waiting))  # only one fits (peak 14 vs 12+..)
+        d1 = p.decide(view_of(1, 16, waiting, policy=p))  # only one fits (peak 14 vs 12+..)
         assert d1.to_activate == [2]
         # slot 2: request 2 is active with generated 1, request 1 still waits
         a = active_req(2, 10, 2, activation_slot=1)
-        d2 = p.decide(view_of(2, 16, [waiting[0]], [a], additions=[]))
+        d2 = p.decide(view_of(2, 16, [waiting[0]], [a], policy=p))
         # request 2 completes at offset 1 (releasing 12); request 1 joint peak:
         # offset 1: 12 + 11 = 23 > 16, still infeasible
         assert d2.to_activate == []
@@ -331,7 +335,7 @@ class TestShortestFirst:
         p = ShortestFirstMemoryConstrained()
         p.reset()
         with pytest.raises(PolicyApplicabilityError):
-            p.decide(view_of(1, 100, [waiting_req(1, 10, 3, known=False)]))
+            p.decide(view_of(1, 100, [waiting_req(1, 10, 3, known=False)], policy=p))
 
 
 class TestAdaptivePrediction:
@@ -339,10 +343,10 @@ class TestAdaptivePrediction:
         p = AdaptivePrediction(min_output=2)
         p.reset()
         # true o = 60 is hidden; predicted footprint peaks at 10 + 2 = 12
-        d = p.decide(view_of(1, 12, [waiting_req(1, 10, 60, known=False)]))
+        d = p.decide(view_of(1, 12, [waiting_req(1, 10, 60, known=False)], policy=p))
         assert d.to_activate == [1]
         p.reset()
-        d = p.decide(view_of(1, 11, [waiting_req(1, 10, 60, known=False)]))
+        d = p.decide(view_of(1, 11, [waiting_req(1, 10, 60, known=False)], policy=p))
         assert d.to_activate == []
 
     def test_fifo_with_skips(self):
@@ -353,7 +357,7 @@ class TestAdaptivePrediction:
             waiting_req(2, 5, 9, known=False),
         ]
         # prediction 1 each: first needs 31 > 20, skipped; second fits
-        d = p.decide(view_of(1, 20, waiting))
+        d = p.decide(view_of(1, 20, waiting, policy=p))
         assert d.to_activate == [2]
 
     def test_eviction_ascending_prediction_updates_and_persists(self):
@@ -372,7 +376,7 @@ class TestAdaptivePrediction:
         # next slot the victim waits again; its raised prediction persists
         # and the policy still re-admits it when the trajectory fits
         back = waiting_req(2, 10, 60, arrival=4, known=False)
-        d2 = p.decide(view_of(12, 100, waiting=[back], active=[req1]))
+        d2 = p.decide(view_of(12, 100, waiting=[back], active=[req1], policy=p))
         assert d2.to_activate == [2]
         assert p.prediction(2) == 10
 
@@ -401,9 +405,9 @@ class TestAdaptivePrediction:
         p = AdaptivePrediction(min_output=3)
         p.reset()
         # identical decisions whether outputs are visible or hidden
-        d1 = p.decide(view_of(1, 13, [waiting_req(1, 10, 60, known=False)]))
+        d1 = p.decide(view_of(1, 13, [waiting_req(1, 10, 60, known=False)], policy=p))
         p.reset()
-        d2 = p.decide(view_of(1, 13, [waiting_req(1, 10, 60, known=True)]))
+        d2 = p.decide(view_of(1, 13, [waiting_req(1, 10, 60, known=True)], policy=p))
         assert d1.to_activate == d2.to_activate == [1]
 
 
@@ -448,11 +452,7 @@ class TestAdmissionPlanner:
         boundary.admit(10, 5)
         assert boundary.feasible(10, 5)
 
-    def test_windows_past_dense_cache_match_bruteforce(self):
-        # a tiny cache forces the per-query evaluation path constantly
-        class TinyCache(AdmissionPlanner):
-            DENSE_CAP = 8
-
+    def test_long_windows_match_bruteforce(self):
         rng = random.Random(123)
         for _ in range(200):
             entries = []
@@ -461,42 +461,36 @@ class TestAdmissionPlanner:
                 g = rng.randint(0, o - 1)
                 entries.append((rng.randint(1, 30), g, o))
             m = rng.randint(50, 900)
-            planner = TinyCache(entries, kv_capacity=m)
-            reference = AdmissionPlanner(entries, kv_capacity=m)
+            planner = AdmissionPlanner(entries, kv_capacity=m)
             for _ in range(4):
                 l, x = rng.randint(1, 30), rng.randint(1, 45)
                 proj = peak_projection(entries, x)
                 brute = all(proj[d - 1] + l + d <= m for d in range(1, x + 1))
                 assert planner.feasible(l, x) == brute
-                assert reference.feasible(l, x) == brute
             horizon = rng.randint(1, 45)
             assert planner.projection(horizon) == peak_projection(entries, horizon)
 
     def test_max_admissible_matches_greedy_loop(self):
-        class TinyCache(AdmissionPlanner):
-            DENSE_CAP = 8
-
         rng = random.Random(321)
-        for make in (AdmissionPlanner, TinyCache):
-            for _ in range(150):
-                entries = []
-                for _ in range(rng.randint(0, 6)):
-                    o = rng.randint(1, 25)
-                    g = rng.randint(0, o - 1)
-                    entries.append((rng.randint(1, 20), g, o))
-                m = rng.randint(30, 600)
-                l, x = rng.randint(1, 20), rng.randint(1, 30)
-                limit = rng.randint(0, 12)
-                probe = make(entries, kv_capacity=m)
-                before = probe.projection(30)
-                bulk = probe.max_admissible(l, x, limit)
-                assert probe.projection(30) == before  # read-only query
-                greedy = make(entries, kv_capacity=m)
-                count = 0
-                while count < limit and greedy.feasible(l, x):
-                    greedy.admit(l, x)
-                    count += 1
-                assert bulk == count
+        for _ in range(300):
+            entries = []
+            for _ in range(rng.randint(0, 6)):
+                o = rng.randint(1, 25)
+                g = rng.randint(0, o - 1)
+                entries.append((rng.randint(1, 20), g, o))
+            m = rng.randint(30, 600)
+            l, x = rng.randint(1, 20), rng.randint(1, 30)
+            limit = rng.randint(0, 12)
+            probe = AdmissionPlanner(entries, kv_capacity=m)
+            before = probe.projection(30)
+            bulk = probe.max_admissible(l, x, limit)
+            assert probe.projection(30) == before  # read-only query
+            greedy = AdmissionPlanner(entries, kv_capacity=m)
+            count = 0
+            while count < limit and greedy.feasible(l, x):
+                greedy.admit(l, x)
+                count += 1
+            assert bulk == count
 
     def test_admit_many_equals_sequential_admits(self):
         rng = random.Random(99)
@@ -524,10 +518,7 @@ class TestAdmissionPlanner:
         # a one-slot advance re-anchors the dense vector instead of
         # rebuilding it; after every step it must still be the exact
         # projection, through on-schedule and early completions, overdue
-        # entries, evictions, and windows longer than DENSE_CAP
-        class TinyCache(AdmissionPlanner):
-            DENSE_CAP = 8
-
+        # entries, evictions, and windows up to 140 slots
         def expected(live, clock, horizon):
             entries = []
             for l, start, _, x, exact in live.values():
@@ -537,40 +528,39 @@ class TestAdmissionPlanner:
 
         rng = random.Random(4242)
         shifts = 0
-        for make in (AdmissionPlanner, TinyCache):
-            for _ in range(12):
-                planner = make((), kv_capacity=10**9, clock=0)
-                live = {}  # id -> (prompt_len, activation slot, true length, assumed length, exact)
-                next_id = 1
-                for clock in range(70):
-                    if clock:
-                        done = [rid for rid, e in live.items() if e[1] + e[2] == clock]
-                        for rid in done:
-                            del live[rid]
-                        planner.advance(clock, done)
-                        shifts += planner._vec is not None
-                        assert planner.projection(140) == expected(live, clock, 140)
-                    for _ in range(rng.randint(0, 3)):
-                        l, o = rng.randint(1, 9), rng.randint(1, 130)
-                        exact = rng.random() < 0.4
-                        x = o if exact else rng.choice((rng.randint(1, 20), rng.randint(1, 130)))
-                        planner.admit(l, x, req_id=next_id, exact=exact)
-                        live[next_id] = (l, clock, o, x, exact)
-                        next_id += 1
-                    if live and rng.random() < 0.1:
-                        rid = rng.choice(sorted(live))
-                        planner.remove(rid)
+        for _ in range(24):
+            planner = AdmissionPlanner((), kv_capacity=10**9, clock=0)
+            live = {}  # id -> (prompt_len, activation slot, true length, assumed length, exact)
+            next_id = 1
+            for clock in range(70):
+                if clock:
+                    done = [rid for rid, e in live.items() if e[1] + e[2] == clock]
+                    for rid in done:
                         del live[rid]
-                    # leaves the vector valid, so the next advance can shift it
+                    planner.advance(clock, done)
+                    shifts += planner._vec is not None
                     assert planner.projection(140) == expected(live, clock, 140)
-                    l, x = rng.randint(1, 9), rng.randint(1, 140)
-                    proj = expected(live, clock, x)
-                    budget = max(proj) + l + x + rng.randint(-3, 3)
-                    planner.kv_capacity = budget
-                    brute = all(proj[d - 1] + l + d <= budget for d in range(1, x + 1))
-                    assert planner.feasible(l, x) == brute
-                    planner.kv_capacity = 10**9
-        assert shifts > 12 * 2 * 69 // 2  # most steps took the shift, not a rebuild
+                for _ in range(rng.randint(0, 3)):
+                    l, o = rng.randint(1, 9), rng.randint(1, 130)
+                    exact = rng.random() < 0.4
+                    x = o if exact else rng.choice((rng.randint(1, 20), rng.randint(1, 130)))
+                    planner.admit(l, x, req_id=next_id, exact=exact)
+                    live[next_id] = (l, clock, o, x, exact)
+                    next_id += 1
+                if live and rng.random() < 0.1:
+                    rid = rng.choice(sorted(live))
+                    planner.remove(rid)
+                    del live[rid]
+                # leaves the vector valid, so the next advance can shift it
+                assert planner.projection(140) == expected(live, clock, 140)
+                l, x = rng.randint(1, 9), rng.randint(1, 140)
+                proj = expected(live, clock, x)
+                budget = max(proj) + l + x + rng.randint(-3, 3)
+                planner.kv_capacity = budget
+                brute = all(proj[d - 1] + l + d <= budget for d in range(1, x + 1))
+                assert planner.feasible(l, x) == brute
+                planner.kv_capacity = 10**9
+        assert shifts > 24 * 69 // 2  # most steps took the shift, not a rebuild
 
 class TestFactoryAndSpec:
     def test_round_trips(self):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kvflow.core import RequestClass, workload_tokens
+from kvflow.policies import ScalarFlowControl, make_policy
 from kvflow.stability import (
     BudgetSearchResult,
     LoadCheck,
@@ -142,6 +143,20 @@ class TestNecessaryUnknown:
         # E[w] = (2 + 2*5) / 3 = 4; rate 1/4 -> load 1
         chk = check_necessary_unknown(dist, rate=Fraction(1, 4), capacity=1)
         assert chk.boundary
+
+
+class TestDecimalFloats:
+    def test_stability_and_flow_scalar_read_one_tenth_alike(self):
+        # a (9, 1) request costs 10 token-slots, so 0.1 per slot loads a
+        # capacity of 1 exactly; 0.1's binary value (just above 1/10) would
+        # overload it, and the analysis would disagree with the run
+        dist = LengthDistribution([(9, 1)], [1])
+        assert check_necessary_unknown(dist, rate=0.1, capacity=1).boundary
+        assert check_necessary_known([(9, 1, 0.1)], capacity=1).boundary
+        bound = overflow_bound(A=1, C=9, M=20, T=10, b=0.1, length_dist=dist)
+        assert bound.epsilon == Fraction(19, 20)
+        assert ScalarFlowControl(budget=0.1).budget == Fraction(1, 10)
+        assert make_policy("flow_scalar", {"budget": 0.1}).budget == Fraction(1, 10)
 
 
 class TestOverflowBound:
