@@ -17,7 +17,7 @@ from heapq import merge
 from numbers import Rational
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple, Union
 
 Rate = Union[int, float, Fraction]
 
@@ -217,10 +217,6 @@ class WaitingQueue:
         not to change."""
         return self._groups
 
-    def heads(self) -> List[Tuple[Request, WaitingGroup]]:
-        """(first request, group) for every nonempty group."""
-        return [(g.head(), g) for g in self._groups.values() if g._main or g._side]
-
     def push(self, request: Request) -> None:
         """Append a fresh arrival. Keys must be nondecreasing over pushes."""
         key = None if self._key is None else self._key(request)
@@ -295,12 +291,6 @@ class SimState:
     active: dict = field(default_factory=dict)
     requests: dict = field(default_factory=dict)
     usage_total: int = 0
-
-    @classmethod
-    def fresh(cls, kv_capacity: int, rng_seed: int) -> "SimState":
-        if kv_capacity <= 0:
-            raise ValueError(f"kv_capacity must be positive, got {kv_capacity}")
-        return cls(kv_capacity=kv_capacity, rng_seed=rng_seed)
 
 
 def usage(state: SimState) -> int:

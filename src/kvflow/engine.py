@@ -29,7 +29,7 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -233,7 +233,12 @@ class Engine:
         policy.reset(np.random.SeedSequence([int(seed), POLICY_STREAM_TAG]))
 
     def step(self, slot_requests: Sequence[Request]) -> None:
-        """Advance one slot through the five phases."""
+        """Advance one slot through the five phases.
+
+        The queue takes arrivals in the order given, which must be
+        nondecreasing in (arrival_slot, id) over the whole run; run() puts
+        hand-built streams in that order.
+        """
         state = self.state
         t = state.clock + 1
         state.clock = t
@@ -419,6 +424,25 @@ class Engine:
         )
 
 
+def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Request]]:
+    """Yield each slot of a hand-built stream sorted by (arrival_slot, id),
+    the order the waiting queue takes arrivals in. Generated streams are
+    built in it. A slot that orders before a request of an earlier slot
+    is an error."""
+    last = None
+    for slot_requests in slots:
+        ordered = sorted(slot_requests, key=Request.sort_key)
+        if ordered:
+            first = ordered[0].sort_key()
+            if last is not None and first < last:
+                raise EngineError(
+                    f"request {ordered[0].id} (arrival slot {first[0]}) arrives after"
+                    f" a request that orders behind it (arrival slot {last[0]}, id {last[1]})"
+                )
+            last = ordered[-1].sort_key()
+        yield ordered
+
+
 def run(
     arrivals: Union[ArrivalStream, Sequence[Sequence[Request]]],
     policy: Policy,
@@ -429,16 +453,17 @@ def run(
 ) -> RunResult:
     """Run a policy over a materialized arrival stream.
 
-    track_classes sizes an optional per-class waiting-count series (pass
-    the class count). Identical inputs produce bit-identical results,
-    event logs included.
+    Each slot of a hand-built stream is fed in (arrival_slot, id) order,
+    whatever order it lists its requests in. track_classes sizes an
+    optional per-class waiting-count series (pass the class count).
+    Identical inputs produce bit-identical results, event logs included.
     """
     if isinstance(arrivals, ArrivalStream):
         slots = arrivals.slots
         exhausted = arrivals.exhausted_slot
         counts = arrivals.class_counts
     else:
-        slots = arrivals
+        slots = _in_arrival_order(arrivals)
         exhausted = None
         counts = None
     engine = Engine(

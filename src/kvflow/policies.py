@@ -125,10 +125,6 @@ class PolicyView:
         group key."""
         return self._waiting.groups
 
-    def _waiting_heads(self) -> List[Tuple[Request, WaitingGroup]]:
-        """(first request, group) for every nonempty waiting group."""
-        return self._waiting.heads()
-
     def take_completions(self) -> List[int]:
         """Ids of requests that finished since the last decide call.
 
@@ -817,7 +813,11 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
     def decide(self, view: PolicyView) -> ActivationDecision:
         planner = self._sync_planner(view)
         # ids are unique, so comparisons never reach the group
-        heap = [(g.key[0], h.arrival_slot, h.id, g) for h, g in view._waiting_heads()]
+        heap = []
+        for group in view._waiting_groups().values():
+            if group:
+                head = group.head()
+                heap.append((group.key[0], head.arrival_slot, head.id, group))
         heapify(heap)
         taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
         acts: List[int] = []
@@ -921,7 +921,11 @@ class AdaptivePrediction(Policy):
     def decide(self, view: PolicyView) -> ActivationDecision:
         planner = self._sync_planner(view)
         # ids are unique, so comparisons never reach the group
-        heap = [(h.arrival_slot, h.id, g) for h, g in view._waiting_heads()]
+        heap = []
+        for group in view._waiting_groups().values():
+            if group:
+                head = group.head()
+                heap.append((head.arrival_slot, head.id, group))
         heapify(heap)
         taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
         acts: List[int] = []

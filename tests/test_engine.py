@@ -267,6 +267,34 @@ class TestStateValidation:
             Engine(FixedSchedule({}), kv_capacity=0)
 
 
+class TestArrivalOrder:
+    """A hand-built slot may list its requests in any order; run() queues
+    them by (arrival_slot, id), so every policy serves them FIFO."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("flow_per_class", {"budgets": [3]}),
+            ("flow_scalar", {"budget": 3}),
+            ("alpha_protection", {"alpha": 0.25}),
+            ("mc", {}),
+            ("mc_sf", {}),
+            ("amin", {"min_output": 1}),
+        ],
+    )
+    def test_slot_listed_out_of_order_is_served_fifo(self, name, params):
+        arrivals = [
+            [req(5, 10, 4, 3, class_id=0), req(2, 10, 4, 1, class_id=0), req(3, 10, 4, 1, class_id=0)]
+        ]
+        r = run(arrivals, make_policy(name, params), kv_capacity=10**6, record_events=True)
+        assert [rid for _, kind, rid, _ in r.events if kind == "activate"] == [2, 3, 5]
+
+    def test_slot_ordering_before_an_earlier_slot_rejected(self):
+        arrivals = [[req(2, 1, 1, 2)], [req(1, 1, 1, 1)]]
+        with pytest.raises(EngineError, match="arrives after"):
+            run(arrivals, make_policy("mc", {}), kv_capacity=10)
+
+
 class TestIncrementalUsageMatchesRecompute:
     def test_usage_total_equals_scratch_recompute_every_slot(self):
         spec = WorkloadSpec.synthetic(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kvflow.core import Request, WaitingQueue, peak_projection
+from kvflow.engine import run as engine_run
 from kvflow.policies import (
     ActivationDecision,
     AdmissionPlanner,
@@ -52,9 +53,10 @@ def active_req(req_id, prompt_len, decode_len, activation_slot, known=True):
 
 def view_of(clock, kv_capacity, waiting=(), active=(), policy=None):
     """A view over a real WaitingQueue, grouped by the policy's group key
-    and filled in arrival order, as the engine fills it."""
+    and filled in the order given, as Engine.step fills it (engine.run
+    puts each slot in (arrival_slot, id) order first)."""
     queue = WaitingQueue(policy.group_key if policy is not None else None)
-    for r in sorted(waiting, key=Request.sort_key):
+    for r in waiting:
         queue.push(r)
     active_map = {r.id: r for r in active}
     used = sum(r.prompt_len + (clock - r.activation_slot) for r in active_map.values())
@@ -308,14 +310,29 @@ class TestShortestFirst:
         assert d.to_activate == [2]
 
     def test_tie_by_arrival_then_id(self):
-        p = ShortestFirstMemoryConstrained()
-        p.reset()
+        # listed out of order in one slot: the engine queues them by
+        # (arrival slot, id), and the policy serves them in that order
         waiting = [
             waiting_req(5, 10, 4, arrival=3),
             waiting_req(2, 10, 4, arrival=1),
             waiting_req(3, 10, 4, arrival=1),
         ]
-        d = p.decide(view_of(3, 10**6, waiting, policy=p))
+        result = engine_run(
+            [waiting], ShortestFirstMemoryConstrained(), kv_capacity=10**6, record_events=True
+        )
+        assert [rid for _, kind, rid, _ in result.events if kind == "activate"] == [2, 3, 5]
+
+    def test_tie_across_groups_by_arrival_then_id(self):
+        # equal decode lengths but distinct prompts: one group each, and
+        # the policy orders the group heads by arrival slot, then id
+        p = ShortestFirstMemoryConstrained()
+        p.reset()
+        waiting = [
+            waiting_req(2, 11, 4, arrival=1),
+            waiting_req(3, 12, 4, arrival=1),
+            waiting_req(5, 10, 4, arrival=3),
+        ]
+        d = p.decide(view_of(3, 10**6, waiting[::-1], policy=p))
         assert d.to_activate == [2, 3, 5]
 
     def test_queue_persists_across_slots(self):
