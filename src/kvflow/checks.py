@@ -188,24 +188,27 @@ def check_overload_explosion(
             f"offered load {float(load):.1f} does not exceed capacity {kv_capacity}",
         )
     threshold = explosion_threshold(load, kv_capacity, _max_workload(spec), safety)
-    roster = list(policies if policies is not None else EXPLOSION_POLICIES)
-    slopes: List[dict] = []
-    failures: List[str] = []
-    for name, params in roster:
+    roster = []
+    for name, params in policies if policies is not None else EXPLOSION_POLICIES:
         if params is None:
             if budgets is None or spec.classes is None:
                 continue
             params = {"budgets": tuple(budgets)}
-        if make_policy(name, params).applicable(spec) is not None:
-            continue
-        for seed in seeds:
-            res = engine_run(
-                generate_arrivals(spec, seed),
-                make_policy(name, params),
-                kv_capacity,
-                seed=seed,
+        if make_policy(name, params).applicable(spec) is None:
+            roster.append((name, params))
+    # one stream per seed, replayed under every policy
+    measured: List[List[float]] = [[] for _ in roster]  # per policy, one slope per seed
+    for seed in seeds:
+        arrivals = generate_arrivals(spec, seed)
+        for (name, params), per_seed in zip(roster, measured):
+            report = compute_metrics(
+                engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed)
             )
-            slope = compute_metrics(res).queue_growth_slope
+            per_seed.append(report.queue_growth_slope)
+    slopes: List[dict] = []
+    failures: List[str] = []
+    for (name, _), per_seed in zip(roster, measured):
+        for seed, slope in zip(seeds, per_seed):
             slopes.append({"policy": name, "seed": seed, "slope": slope})
             if slope < threshold:
                 failures.append(f"{name}@{seed}: {slope:.3f}")

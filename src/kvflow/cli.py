@@ -363,12 +363,35 @@ def _run_task(task):
     return result, metrics.compute_metrics(result)
 
 
-def _map_tasks(tasks, jobs: int):
-    """Run tasks in submission order, in-process or across worker processes."""
+def _compare_task(task):
+    """Every policy on one seed's stream, generated once and replayed.
+
+    Per policy, in order: its usage series and metrics, or the
+    PolicyApplicabilityError that stopped it on this seed. The rest of a
+    run is dropped before the next one starts.
+    """
+    spec, policies, kv_capacity, seed, track = task
+    arrivals = generate_arrivals(spec, seed)
+    outs = []
+    for name, params in policies:
+        try:
+            result = engine_run(
+                arrivals, make_policy(name, params), kv_capacity, seed=seed, track_classes=track
+            )
+        except PolicyApplicabilityError as exc:
+            outs.append(exc)
+            continue
+        outs.append((result.usage, metrics.compute_metrics(result)))
+        del result
+    return outs
+
+
+def _map_tasks(fn, tasks, jobs: int):
+    """Run fn over tasks in submission order, in-process or across worker processes."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [_run_task(t) for t in tasks]
+        return [fn(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(_run_task, tasks))
+        return list(pool.map(fn, tasks))
 
 
 def _aggregate_row(reports: Sequence[metrics.MetricsReport]) -> List[str]:
@@ -450,7 +473,7 @@ def cmd_run(args) -> int:
         (cfg.spec, name, params, cfg.kv_capacity, seed, cfg.emit["event_log"], track)
         for seed in cfg.seeds
     ]
-    outs = _map_tasks(tasks, args.jobs)
+    outs = _map_tasks(_run_task, tasks, args.jobs)
     reports = []
     for seed, (result, report) in zip(cfg.seeds, outs):
         reports.append(report)
@@ -576,22 +599,25 @@ def cmd_compare(args) -> int:
     spec, seeds, kv = base.spec, base.seeds, base.kv_capacity
     track = len(spec.classes) if spec.classes else None
     out = args.out and Path(args.out) or base.out_dir
+    reasons = [make_policy(name, params).applicable(spec) for name, params in policies]
+    runnable = [p for p, reason in zip(policies, reasons) if reason is None]
+    # one task per seed runs every applicable policy on that seed's stream
+    tasks = [(spec, runnable, kv, seed, track) for seed in seeds]
+    per_seed = _map_tasks(_compare_task, tasks, args.jobs) if runnable else []
+    by_policy = zip(*per_seed)
     rows: List[dict] = []
-    for label, (name, params) in zip(labels, policies):
-        reason = make_policy(name, params).applicable(spec)
+    for label, (name, params), reason in zip(labels, policies, reasons):
         if reason is None:
-            tasks = [(spec, name, params, kv, seed, False, track) for seed in seeds]
-            try:
-                outs = _map_tasks(tasks, args.jobs)
-            except PolicyApplicabilityError as exc:
-                reason = str(exc)
+            outs = next(by_policy)  # one entry per seed, in seed order
+            failed = [o for o in outs if isinstance(o, PolicyApplicabilityError)]
+            reason = str(failed[0]) if failed else None
         if reason is not None:
             _status(f"{label}: inapplicable ({reason})")
             rows.append(_inapplicable_row(label, params, reason))
             continue
         reports = [rep for _, rep in outs]
         rows.append(_compare_row(label, params, reports))
-        write_usage_series_csv(seeds, [res.usage for res, _ in outs], out / f"usage_{label}.csv")
+        write_usage_series_csv(seeds, [usage for usage, _ in outs], out / f"usage_{label}.csv")
         _status(
             f"{label}: completed {statistics.fmean(r.completed for r in reports):.1f}, "
             f"overflow slots {statistics.fmean(r.overflow_events for r in reports):.1f}"

@@ -56,12 +56,16 @@ class RequestClass:
 
 @dataclass(slots=True)
 class Request:
-    """One request plus its engine-owned lifecycle state.
+    """One request, plus the slot it was last activated in.
 
     decode_len is always stored (the engine needs it to schedule the
     completion), but policies only see it when output_known is true.
-    activation_slot is None while the request waits; eviction clears it and
-    discards all generated tokens, so progress restarts on re-activation.
+    activation_slot is the engine's only write into a request: it is set
+    when the request is activated and means something only while the
+    request is active (eviction clears it and discards all generated
+    tokens, so progress restarts on re-activation). Everything else a run
+    learns lives in the engine, so one stream can be replayed under any
+    number of policies.
     """
 
     id: int
@@ -71,11 +75,6 @@ class Request:
     class_id: Optional[int] = None
     output_known: bool = True
     activation_slot: Optional[int] = None
-    completion_slot: Optional[int] = None
-    evictions: int = 0
-
-    def sort_key(self) -> Tuple[int, int]:
-        return (self.arrival_slot, self.id)
 
 
 def workload_tokens(prompt_len: int, decode_len: int) -> int:
@@ -91,7 +90,8 @@ def workload_tokens(prompt_len: int, decode_len: int) -> int:
     return prompt_len * decode_len + (decode_len + decode_len * decode_len) // 2
 
 
-_ARRIVAL_ORDER = attrgetter("arrival_slot", "id")  # Request.sort_key, without a Python call
+# the order waiting requests are served and arrivals reach the queue in
+ARRIVAL_ORDER = attrgetter("arrival_slot", "id")
 
 
 def as_fraction(value: Union[Rate, str]) -> Fraction:
@@ -144,9 +144,9 @@ class WaitingGroup:
         if not side:
             return fresh
         old = map(side.__getitem__, range(self._shead, len(side)))
-        if not main or _ARRIVAL_ORDER(side[-1]) < _ARRIVAL_ORDER(main[self._mhead]):
+        if not main or ARRIVAL_ORDER(side[-1]) < ARRIVAL_ORDER(main[self._mhead]):
             return chain(old, fresh)
-        return merge(old, fresh, key=_ARRIVAL_ORDER)
+        return merge(old, fresh, key=ARRIVAL_ORDER)
 
     def head(self) -> Request:
         """The group's first request; the group must not be empty."""
@@ -159,7 +159,7 @@ class WaitingGroup:
         if not main:
             return old
         fresh = main[self._mhead]
-        return old if _ARRIVAL_ORDER(old) < _ARRIVAL_ORDER(fresh) else fresh
+        return old if ARRIVAL_ORDER(old) < ARRIVAL_ORDER(fresh) else fresh
 
     def count_before(self, arrival_slot: int, req_id: int) -> int:
         """How many of the group's requests order strictly before
@@ -168,13 +168,13 @@ class WaitingGroup:
             self._settle()
         key = (arrival_slot, req_id)
         return (
-            bisect_left(self._main, key, self._mhead, key=_ARRIVAL_ORDER) - self._mhead
-            + bisect_left(self._side, key, self._shead, key=_ARRIVAL_ORDER) - self._shead
+            bisect_left(self._main, key, self._mhead, key=ARRIVAL_ORDER) - self._mhead
+            + bisect_left(self._side, key, self._shead, key=ARRIVAL_ORDER) - self._shead
         )
 
     def _settle(self) -> None:
         side = self._side[self._shead :]
-        side.sort(key=_ARRIVAL_ORDER)
+        side.sort(key=ARRIVAL_ORDER)
         self._side = side
         self._shead = 0
         self._sdirty = False
@@ -271,7 +271,7 @@ class WaitingQueue:
         groups = self._groups.values()
         if len(groups) == 1:
             return iter(next(iter(groups)))
-        return merge(*groups, key=_ARRIVAL_ORDER)
+        return merge(*groups, key=ARRIVAL_ORDER)
 
 
 @dataclass
@@ -289,7 +289,6 @@ class SimState:
     clock: int = 0
     waiting: WaitingQueue = field(default_factory=WaitingQueue)
     active: dict = field(default_factory=dict)
-    requests: dict = field(default_factory=dict)
     usage_total: int = 0
 
 

@@ -34,6 +34,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 import numpy as np
 
 from kvflow.core import (
+    ARRIVAL_ORDER,
     EngineError,
     OversizedRequestError,
     Request,
@@ -236,8 +237,10 @@ class Engine:
         """Advance one slot through the five phases.
 
         The queue takes arrivals in the order given, which must be
-        nondecreasing in (arrival_slot, id) over the whole run; run() puts
-        hand-built streams in that order.
+        nondecreasing in (arrival_slot, id) over the whole run, and no id
+        may arrive twice in one run. step() checks neither; run() checks
+        both for hand-built streams, and generated streams hold to them by
+        construction.
         """
         state = self.state
         t = state.clock + 1
@@ -247,17 +250,12 @@ class Engine:
         waiting = state.waiting
         record = self.record_events
         class_waiting = self._class_waiting
-        requests = state.requests
         events = self.events
 
         # phase 1: arrivals
         if slot_requests:
             push = waiting.push
             for r in slot_requests:
-                rid = r.id
-                if rid in requests:
-                    raise EngineError(f"duplicate request id {rid}")
-                requests[rid] = r
                 push(r)
                 if class_waiting is not None and r.class_id is not None:
                     class_waiting[r.class_id] += 1
@@ -336,7 +334,6 @@ class Engine:
                     raise EngineError(f"policy evicted id {rid} which is not active")
                 generated = t - r.activation_slot
                 wasted += generated
-                r.evictions += 1
                 r.activation_slot = None
                 projected -= r.prompt_len + generated + 1
                 readmit(r)
@@ -374,7 +371,6 @@ class Engine:
                     continue  # stale booking: the request was evicted meanwhile
                 rid = r.id
                 del active[rid]
-                r.completion_slot = t
                 usage_end -= r.prompt_len + r.decode_len
                 completed_arrival.append(r.arrival_slot)
                 completed_slot.append(t)
@@ -427,19 +423,24 @@ class Engine:
 def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Request]]:
     """Yield each slot of a hand-built stream sorted by (arrival_slot, id),
     the order the waiting queue takes arrivals in. Generated streams are
-    built in it. A slot that orders before a request of an earlier slot
-    is an error."""
+    built in it. A slot that orders before a request of an earlier slot,
+    or an id that arrived before, is an error."""
     last = None
+    seen = set()
     for slot_requests in slots:
-        ordered = sorted(slot_requests, key=Request.sort_key)
+        ordered = sorted(slot_requests, key=ARRIVAL_ORDER)
         if ordered:
-            first = ordered[0].sort_key()
+            first = ARRIVAL_ORDER(ordered[0])
             if last is not None and first < last:
                 raise EngineError(
                     f"request {ordered[0].id} (arrival slot {first[0]}) arrives after"
                     f" a request that orders behind it (arrival slot {last[0]}, id {last[1]})"
                 )
-            last = ordered[-1].sort_key()
+            last = ARRIVAL_ORDER(ordered[-1])
+            for r in ordered:
+                if r.id in seen:
+                    raise EngineError(f"duplicate request id {r.id}")
+                seen.add(r.id)
         yield ordered
 
 
@@ -454,9 +455,12 @@ def run(
     """Run a policy over a materialized arrival stream.
 
     Each slot of a hand-built stream is fed in (arrival_slot, id) order,
-    whatever order it lists its requests in. track_classes sizes an
-    optional per-class waiting-count series (pass the class count).
-    Identical inputs produce bit-identical results, event logs included.
+    whatever order it lists its requests in, and an id may arrive only
+    once. track_classes sizes an optional per-class waiting-count series
+    (pass the class count). Identical inputs produce bit-identical
+    results, event logs included. A run leaves nothing in the stream that
+    a later run reads, so one stream can be replayed under any number of
+    policies.
     """
     if isinstance(arrivals, ArrivalStream):
         slots = arrivals.slots

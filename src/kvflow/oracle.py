@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from kvflow.core import Request
@@ -81,6 +82,12 @@ class OfflineInstance:
                 raise ValueError(f"request {r.id} has nonpositive lengths")
             if not 1 <= r.arrival_slot <= self.horizon:
                 raise ValueError(f"request {r.id} arrives outside the horizon")
+
+    @cached_property
+    def _optimum(self) -> "Solution":
+        """The exact optimum, searched for on first use and kept on the
+        instance (frozen, so it cannot go stale); solve() hands out copies."""
+        return _Search(self).run()
 
     @classmethod
     def build(cls, triples, kv_capacity, horizon, objective) -> "OfflineInstance":
@@ -323,8 +330,13 @@ class _Search:
 
 
 def solve(instance: OfflineInstance) -> Solution:
-    """Exact optimum over activation schedules, with one optimal schedule."""
-    return _Search(instance).run()
+    """Exact optimum over activation schedules, with one optimal schedule.
+
+    The search runs once per instance; later calls return the same
+    optimum, each with its own copy of the schedule.
+    """
+    optimum = instance._optimum
+    return Solution(optimum.value, dict(optimum.schedule), optimum.nodes)
 
 
 def replay(instance: OfflineInstance, schedule: Dict[int, Optional[int]]):
@@ -371,7 +383,8 @@ def verify_policy_dominance(
     instance: OfflineInstance, policy: Policy, seed: int = 0
 ) -> DominanceReport:
     """Check that the exact optimum is at least as good as what the
-    policy achieved on the same instance."""
+    policy achieved on the same instance. The optimum is the one kept on
+    the instance, so checking many policies searches once."""
     solution = solve(instance)
     result = engine_run(
         instance.arrivals(),

@@ -450,12 +450,20 @@ def budget_search(
 
     from kvflow.workload import generate_arrivals
 
+    # one stream per seed, replayed under every grid point
+    measured: List[list] = [[] for _ in grid]  # per grid point, one report per seed
+    for seed in seeds:
+        arrivals = generate_arrivals(spec, seed=seed)
+        for point, reports in zip(grid, measured):
+            merged = dict(params or {})
+            merged[param_name] = tuple(point) if param_name == "budgets" else point
+            pol = make_policy(policy, merged)
+            reports.append(compute_metrics(engine_run(arrivals, pol, kv_capacity, seed=seed)))
+
     rows: List[dict] = []
     best_idx = None
     best_value = None
-    for idx, point in enumerate(grid):
-        merged = dict(params or {})
-        merged[param_name] = tuple(point) if param_name == "budgets" else point
+    for idx, (point, reports) in enumerate(zip(grid, measured)):
         vals: List[float] = []
         agg = {
             "avg_latency": [],
@@ -466,12 +474,7 @@ def budget_search(
             "eviction_events": 0,
             "completed": 0,
         }
-        for seed in seeds:
-            pol = make_policy(policy, merged)
-            result = engine_run(
-                generate_arrivals(spec, seed=seed), pol, kv_capacity, seed=seed
-            )
-            m = compute_metrics(result)
+        for m in reports:
             vals.append(extract(m))
             agg["avg_latency"].append(
                 math.inf if m.avg_latency is None else float(m.avg_latency)

@@ -385,6 +385,36 @@ class TestCompare:
         capsys.readouterr()
         assert [r["policy"] for r in self.read_table(out)] == ["mc", "flow_scalar"]
 
+    def test_parallel_jobs_match_sequential(self, tmp_path, capsys):
+        policies = [
+            {"name": "flow_scalar", "params": {"budget": 2}},
+            {"name": "mc_sf", "params": {}},  # inapplicable: outputs are hidden
+            {"name": "mc", "params": {"assume_max_output": 6}},
+            {"name": "amin", "params": {"min_output": 1}},
+        ]
+        doc = compare_config(known=False, policies=policies)
+        doc["seeds"] = [0, 1, 2]
+        cfg = write_config(tmp_path, doc)
+        outs, summaries = [], []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert cli.main(["compare", "-c", cfg, "--out", str(out), "--jobs", jobs]) == 0
+            summaries.append(json.loads(capsys.readouterr().out))
+            outs.append(out)
+        a, b = outs
+        assert summaries[0]["rows"] == summaries[1]["rows"]
+        names = sorted(p.name for p in a.iterdir())
+        assert names == ["compare.csv", "usage_amin.csv", "usage_flow_scalar.csv", "usage_mc.csv"]
+        assert sorted(p.name for p in b.iterdir()) == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        assert [r["applicable"] for r in self.read_table(a)] == [
+            "yes",
+            "no: needs visible output lengths",
+            "yes",
+            "yes",
+        ]
+
     def test_compare_requires_some_policy(self, tmp_path):
         doc = compare_config(known=True)
         del doc["policies"]

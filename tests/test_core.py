@@ -40,6 +40,11 @@ def brute_projection(entries, horizon):
     return totals
 
 
+def arrival_key(r):
+    # the reference order, written out rather than taken from core
+    return (r.arrival_slot, r.id)
+
+
 def make_active_request(req_id, prompt_len, decode_len, activation_slot, clock):
     r = Request(
         id=req_id,
@@ -171,9 +176,9 @@ class TestRequestAndClass:
     def test_request_lifecycle_fields(self):
         r = Request(id=7, prompt_len=4, decode_len=9, arrival_slot=3)
         assert r.activation_slot is None
-        assert r.completion_slot is None
-        assert r.evictions == 0
         assert r.output_known
+        # the activation slot is the only state a run writes into a request
+        assert not hasattr(r, "completion_slot") and not hasattr(r, "evictions")
 
 
 class TestWaitingQueue:
@@ -201,17 +206,17 @@ class TestWaitingQueue:
                     q.readmit(r)
                     live[r.id] = r
                 elif op < 0.85 and live:
-                    order = sorted(live.values(), key=Request.sort_key)
+                    order = sorted(live.values(), key=arrival_key)
                     r = order[0] if rng.random() < 0.6 else rng.choice(order)
                     assert q.remove(r.id) is r
                     del live[r.id]
                     taken.append(r)
                 else:
-                    expected = sorted(live.values(), key=Request.sort_key)
+                    expected = sorted(live.values(), key=arrival_key)
                     assert [r.id for r in q] == [r.id for r in expected]
                 assert len(q) == len(live)
                 assert all(rid in q for rid in live)
-            assert [r.id for r in q] == [r.id for r in sorted(live.values(), key=Request.sort_key)]
+            assert [r.id for r in q] == [r.id for r in sorted(live.values(), key=arrival_key)]
 
     def test_grouped_queue_matches_sorted_reference(self):
         # requests keyed into groups; a re-entering request may come back
@@ -241,7 +246,7 @@ class TestWaitingQueue:
                     live[r.id] = (r, moved.get(r.id, r.prompt_len % 3))
                 elif op < 0.85 and live:
                     key = rng.choice(sorted({k for _, k in live.values()}))
-                    members = sorted((r for r, k in live.values() if k == key), key=Request.sort_key)
+                    members = sorted((r for r, k in live.values() if k == key), key=arrival_key)
                     r = members[0] if rng.random() < 0.7 else rng.choice(members)
                     assert q.remove(r.id) is r
                     del live[r.id]
@@ -254,7 +259,7 @@ class TestWaitingQueue:
         for r, key in live.values():
             expected.setdefault(key, []).append(r)
         for members in expected.values():
-            members.sort(key=Request.sort_key)
+            members.sort(key=arrival_key)
         groups = q.groups
         assert {k for k, g in groups.items() if len(g)} == set(expected)
         for key, members in expected.items():
@@ -262,8 +267,8 @@ class TestWaitingQueue:
             assert len(group) == len(members)
             assert [r.id for r in group] == [r.id for r in members]
             assert group.head() is members[0]
-            assert group.count_before(*probe) == sum(r.sort_key() < probe for r in members)
-        merged = sorted((r for r, _ in live.values()), key=Request.sort_key)
+            assert group.count_before(*probe) == sum(arrival_key(r) < probe for r in members)
+        merged = sorted((r for r, _ in live.values()), key=arrival_key)
         view = PolicyView(clock=0, kv_capacity=1, usage=0, waiting=q, active={})
         assert [w.id for w in view.iter_waiting()] == [r.id for r in merged]
         assert len(q) == len(live)

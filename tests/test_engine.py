@@ -163,13 +163,15 @@ class TestEvictionTrace:
 
     def test_victim_rejoins_at_arrival_position(self):
         arrivals = [[req(1, 3, 5, 1), req(2, 3, 5, 1)], [req(3, 1, 1, 2)], []]
+        victim, late = arrivals[0][1], arrivals[1][0]
         engine = Engine(FixedSchedule({1: [1, 2]}), kv_capacity=10)
         for batch in arrivals:
             engine.step(batch)
         # id 2 arrived in slot 1, so after eviction it waits ahead of id 3
-        assert [r.id for r in engine.state.waiting] == [2, 3]
-        assert engine.state.requests[2].evictions == 1
-        assert engine.state.requests[2].activation_slot is None
+        first, second = engine.state.waiting
+        assert first is victim and second is late
+        assert engine.eviction_count == 1
+        assert victim.activation_slot is None
 
 
 class TestPhaseOrdering:
@@ -221,6 +223,20 @@ class TestStateValidation:
     def test_duplicate_arrival_id_rejected(self):
         with pytest.raises(EngineError, match="duplicate request id"):
             run([[req(1, 1, 1, 1)], [req(1, 1, 1, 2)]], FixedSchedule({}), kv_capacity=10)
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [
+            # the same id in two slots with another arrival between them;
+            # (arrival_slot, id) still rises, so only the id check catches it
+            [[req(5, 1, 1, 1)], [req(6, 1, 1, 2)], [], [req(5, 1, 1, 4)]],
+            # the same id twice in one slot
+            [[req(3, 1, 1, 1), req(3, 1, 1, 1)]],
+        ],
+    )
+    def test_repeated_arrival_id_rejected(self, arrivals):
+        with pytest.raises(EngineError, match="duplicate request id"):
+            run(arrivals, FixedSchedule({}), kv_capacity=10)
 
     def test_activating_unknown_id_rejected(self):
         with pytest.raises(EngineError, match="not waiting"):
@@ -677,6 +693,25 @@ class TestPinnedDigests:
         r = run(self.hidden_stream(), make_policy(name, params), kv_capacity=16492, seed=1, record_events=True)
         assert r.exhausted_slot is None
         assert result_digest(r) == expected
+
+    def test_one_stream_replays_under_every_case_in_either_order(self):
+        # a run writes nothing into a stream that a later run reads, so each
+        # case gives its pinned digest on one shared stream, whatever ran on
+        # it before
+        overload, hidden = self.overload_stream(), self.hidden_stream()
+        cases = [(overload, 0, 3, name, params, want) for name, params, want in self.OVERLOAD]
+        cases += [(hidden, 1, None, name, params, want) for name, params, want in self.HIDDEN]
+        for order in (cases, cases[::-1]):
+            for stream, seed, track, name, params, want in order:
+                r = run(
+                    stream,
+                    make_policy(name, params),
+                    kv_capacity=16492,
+                    seed=seed,
+                    record_events=True,
+                    track_classes=track,
+                )
+                assert result_digest(r) == want, (name, params)
 
     def test_mc_sf_interleaves_equal_decode_lengths(self):
         # two classes share decode length 40, so mc_sf admits runs of two

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from kvflow import oracle
 from kvflow.metrics import nearest_rank
 from kvflow.oracle import (
     HORIZON_CAP,
@@ -160,10 +161,46 @@ class TestForcedOptima:
         assert sol.value == 0
 
     def test_deterministic_resolve(self):
-        inst = OfflineInstance.build(
-            [(2, 2, 1), (1, 3, 2), (3, 1, 1)], 10, 6, "avg_latency"
-        )
-        assert solve(inst) == solve(inst)
+        # two equal instances built apart, so each runs its own search
+        triples = [(2, 2, 1), (1, 3, 2), (3, 1, 1)]
+        a = OfflineInstance.build(triples, 10, 6, "avg_latency")
+        b = OfflineInstance.build(triples, 10, 6, "avg_latency")
+        assert a == b
+        assert solve(a) == solve(b)
+
+
+class TestKeptOptimum:
+    TRIPLES = [(2, 2, 1), (1, 3, 2), (3, 1, 1)]
+
+    def build(self):
+        return OfflineInstance.build(self.TRIPLES, 10, 6, "avg_latency")
+
+    def test_search_runs_once_per_instance(self, monkeypatch):
+        searches = []
+        search = oracle._Search.run
+        monkeypatch.setattr(oracle._Search, "run", lambda self: searches.append(1) or search(self))
+        inst = self.build()
+        first = solve(inst)
+        for name, params in [("mc", {}), ("flow_scalar", {"budget": 1}), ("amin", {"min_output": 1})]:
+            assert verify_policy_dominance(inst, make_policy(name, params)).ok
+        assert solve(inst) == first
+        assert len(searches) == 1
+        # the optimum lives on the instance, not in a cache keyed by value
+        assert solve(self.build()) == first
+        assert len(searches) == 2
+
+    def test_changing_a_returned_schedule_changes_nothing_later(self):
+        inst = self.build()
+        first = solve(inst)
+        want = dict(first.schedule)
+        first.schedule.clear()
+        report = verify_policy_dominance(inst, make_policy("mc"))
+        assert report.oracle_schedule == want
+        report.oracle_schedule[1] = None
+        again = solve(inst)
+        assert again.schedule == want
+        assert again.value == first.value and again.nodes == first.nodes
+        assert verify_policy_dominance(inst, make_policy("mc")).oracle_schedule == want
 
 
 class TestAgainstBruteForce:
