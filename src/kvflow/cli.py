@@ -387,11 +387,14 @@ def _compare_task(task):
 
 
 def _map_tasks(fn, tasks, jobs: int):
-    """Run fn over tasks in submission order, in-process or across worker processes."""
+    """Yield fn over tasks in submission order, in-process or across worker
+    processes; in-process, a task starts only once the caller took the
+    previous result."""
     if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)
 
 
 def _aggregate_row(reports: Sequence[metrics.MetricsReport]) -> List[str]:
@@ -473,14 +476,15 @@ def cmd_run(args) -> int:
         (cfg.spec, name, params, cfg.kv_capacity, seed, cfg.emit["event_log"], track)
         for seed in cfg.seeds
     ]
-    outs = _map_tasks(_run_task, tasks, args.jobs)
     reports = []
-    for seed, (result, report) in zip(cfg.seeds, outs):
+    for result, report in _map_tasks(_run_task, tasks, args.jobs):
+        # written as it arrives: only the report outlives a seed's run
         reports.append(report)
-        _emit_run_outputs(cfg, seed, result, report)
+        _emit_run_outputs(cfg, report.seed, result, report)
+        del result
         avg = report.avg_latency
         _status(
-            f"seed {seed}: completed {report.completed}/{report.arrivals}, "
+            f"seed {report.seed}: completed {report.completed}/{report.arrivals}, "
             f"avg latency {'n/a' if avg is None else f'{float(avg):.3f}'}, "
             f"max usage {int(report.kv_util_max * cfg.kv_capacity + 0.5)}/{cfg.kv_capacity}, "
             f"overflow slots {report.overflow_events}"
@@ -603,7 +607,7 @@ def cmd_compare(args) -> int:
     runnable = [p for p, reason in zip(policies, reasons) if reason is None]
     # one task per seed runs every applicable policy on that seed's stream
     tasks = [(spec, runnable, kv, seed, track) for seed in seeds]
-    per_seed = _map_tasks(_compare_task, tasks, args.jobs) if runnable else []
+    per_seed = list(_map_tasks(_compare_task, tasks, args.jobs)) if runnable else []
     by_policy = zip(*per_seed)
     rows: List[dict] = []
     for label, (name, params), reason in zip(labels, policies, reasons):

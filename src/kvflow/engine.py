@@ -21,6 +21,9 @@ loops over the active set: completions are booked into a calendar at
 activation time and usage is maintained incrementally. An evicted request
 loses all generated tokens and rejoins the waiting queue at its original
 arrival position.
+
+The engine also keeps the footprint ledger a policy asks for in step with
+the active set (see PolicyView.ledger).
 """
 
 from __future__ import annotations
@@ -201,16 +204,13 @@ class Engine:
         self.record_events = record_events
         self.events: List[Tuple[int, str, int, int]] = []
         self._calendar: Dict[int, List[Request]] = {}  # end slot -> bookings
-        self._completions: List[int] = []
         self._view = PolicyView(
             clock=0,
             kv_capacity=kv_capacity,
             usage=0,
             waiting=self.state.waiting,
             active=self.state.active,
-            completions=self._completions,
         )
-        self._track_classes = track_classes
         self._class_waiting = [0] * track_classes if track_classes else None
         # counters
         self.arrivals_total = 0
@@ -269,13 +269,16 @@ class Engine:
         view = self._view
         view.clock = t
         view.usage = state.usage_total
+        if view._ledger is not None:
+            view._ledger.advance(t)
         decision = self.policy.decide(view)
-        # the feed covers one decide call (see PolicyView.take_completions);
-        # a policy that never reads it must not make it grow
-        self._completions.clear()
         projected = state.usage_total + len(active)
         prefill = 0
         to_activate = decision.to_activate
+        if view._ledger is not None:
+            booked = view._ledger.take_booked()
+            if booked != list(to_activate):
+                raise EngineError(f"policy activated {list(to_activate)} but booked {booked} in the ledger")
         if to_activate:
             calendar = self._calendar
             remove = waiting.remove
@@ -341,6 +344,8 @@ class Engine:
                     class_waiting[r.class_id] += 1
                 if record:
                     events.append((t, EVENT_EVICT, rid, projected))
+            if view._ledger is not None:
+                view._ledger.remove(*eviction.to_evict)
             self.wasted_tokens += wasted
             self.eviction_count += len(eviction.to_evict)
             if projected > kv and not active:
@@ -361,7 +366,7 @@ class Engine:
         self.series_usage.append(usage_end)
         due = self._calendar.pop(t, None)
         if due:
-            completions = self._completions
+            done = []
             completed_arrival = self.completed_arrival
             completed_slot = self.completed_slot
             completed_decode_len = self.completed_decode_len
@@ -376,9 +381,11 @@ class Engine:
                 completed_slot.append(t)
                 completed_decode_len.append(r.decode_len)
                 completed_prompt_len.append(r.prompt_len)
-                completions.append(rid)
+                done.append(rid)
                 if record:
                     events.append((t, EVENT_COMPLETE, rid, usage_end))
+            if self._view._ledger is not None:
+                self._view._ledger.complete(*done)
         state.usage_total = usage_end
 
         self.series_waiting.append(len(waiting))

@@ -14,8 +14,11 @@ The engine's WaitingQueue is the only store of waiting requests. A policy
 declares how it is grouped (group_key) and reads the groups; only the
 engine adds and removes requests.
 
-Projection-based policies share an AdmissionPlanner, an incremental
-feasibility oracle over the exact per-slot footprint trajectory.
+The engine also owns the one footprint ledger of the active set, an
+AdmissionPlanner reached through PolicyView.ledger: an incremental
+feasibility oracle over the exact per-slot footprint trajectory. The
+projection-based policies query it and book their activations in it; the
+engine keeps it in step with evictions, completions and the clock.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ class PolicyView:
         "usage",
         "_waiting",
         "_active",
-        "_completions",
+        "_ledger",
     )
 
     def __init__(
@@ -91,14 +94,13 @@ class PolicyView:
         usage: int,
         waiting: WaitingQueue,
         active: Dict[int, Request],
-        completions: Optional[List[int]] = None,
     ) -> None:
         self.clock = clock
         self.kv_capacity = kv_capacity
         self.usage = usage
         self._waiting = waiting
         self._active = active
-        self._completions = completions
+        self._ledger: Optional[AdmissionPlanner] = None
 
     @property
     def waiting_len(self) -> int:
@@ -125,19 +127,26 @@ class PolicyView:
         group key."""
         return self._waiting.groups
 
-    def take_completions(self) -> List[int]:
-        """Ids of requests that finished since the last decide call.
+    def ledger(self, policy: "Policy") -> "AdmissionPlanner":
+        """The footprint ledger of the active set, built on the first call.
 
-        For policies that mirror the active set: an id showing up here
-        means the engine released it at the end of the previous slot.
-        Returns an empty list when the engine does not feed a completion
-        buffer (hand-built views in tests).
+        Requests already active then enter it under policy.assumed_len.
+        The engine owns it from then on: it advances the clock before each
+        decide and drops a request when it is evicted or completes. A
+        policy that reads the ledger books every activation in it
+        (admit_many with the ids, in activation order) and changes nothing
+        else; the engine raises EngineError when the ids booked in a slot
+        are not exactly the ids activated.
         """
-        if self._completions is None:
-            return []
-        done = list(self._completions)
-        self._completions.clear()
-        return done
+        ledger = self._ledger
+        if ledger is None:
+            t = self.clock
+            ledger = self._ledger = AdmissionPlanner((), self.kv_capacity, clock=t)
+            for r in self._active.values():
+                # not exact: a policy may assume a length other than the true one
+                assumed = policy.assumed_len(r.id, r.decode_len if r.output_known else None)
+                ledger.bootstrap(r.id, r.prompt_len, t - r.activation_slot, assumed, exact=False)
+        return ledger
 
     def active_ids(self) -> List[int]:
         """Active request ids in activation order (no view construction)."""
@@ -211,9 +220,9 @@ def _prefix_max(values: List[int]) -> List[int]:
     return [run := v if v > run else run for v in values]
 
 
-# Planner-side record of admitted requests: identical candidates admitted
+# Planner-side record of a booked request: identical candidates booked
 # together share one record, since nothing in it is per request.
-_PlannedEntry = namedtuple("_PlannedEntry", ["mass_abs", "rem_abs"])
+_PlannedEntry = namedtuple("_PlannedEntry", ["mass_abs", "rem_abs", "assumed_len"])
 
 
 class AdmissionPlanner:
@@ -239,10 +248,21 @@ class AdmissionPlanner:
     counts as finishing one slot ahead, matching a rolling
     max(assumed, generated + 1) estimate.
 
-    Moving the clock by one slot does not rebuild the dense vector when no
-    bin inside the window changed: base(d) one slot later is base(d + 1)
-    now, so the vector shifts down by one place and only its deepest value
-    is computed afresh.
+    Moving the clock by one slot does not rebuild the dense vector: base(d)
+    one slot later is base(d + 1) now, so the vector shifts down by one
+    place and only its deepest value is computed afresh. An evicted request
+    (remove) whose footprint is left at depth 1 alone comes out of the
+    vector in place; one that reaches deeper drops the vector until the
+    next query. A request that finishes at the end of the slot (complete)
+    still counts in that slot, so a finish on schedule changes nothing but
+    the registry.
+
+    In a run the engine owns the one planner, the ledger of the active set
+    (see PolicyView.ledger): policies query it and book the candidates they
+    activate, and the engine advances it and removes evicted and completed
+    requests. Once iter_by_assumed_len is first read, booked requests are
+    also kept grouped by assumed length in booking order, so it reads an
+    eviction order without sorting the active set.
     """
 
     def __init__(
@@ -258,6 +278,10 @@ class AdmissionPlanner:
         self._bmass: List[int] = []
         self._bcnt: List[int] = []
         self._reg: Dict[int, _PlannedEntry] = {}
+        # assumed length -> ids in booking order, built by the first
+        # iter_by_assumed_len and kept from then on
+        self._by_len: Optional[Dict[int, Dict[int, None]]] = None
+        self._booked: List[Optional[int]] = []  # since take_booked; None if anonymous
         self._overdue: set = set()  # registered ids past their assumed window
         self._expiry: Dict[int, List[int]] = {}
         self._ov_mass = 0
@@ -266,81 +290,59 @@ class AdmissionPlanner:
         # prefix max, built only when a feasibility query needs it
         self._vec: Optional[List[int]] = None
         self._front: Optional[List[int]] = None
-        self._window_moved = False  # a bin at depth >= 1 changed since advance began
         self._maxx = 16  # deepest horizon requested so far; densify this far
         for l, g, o in entries:
             if o > g:
-                self._add_bin(clock + (o - g), (l + g) - clock)
+                self.bootstrap(None, l, g, o)
 
-    def _add_bin(self, rem_abs: int, mass_abs: int) -> None:
+    def _add_bin(self, rem_abs: int, mass_abs: int, count: int) -> None:
         keys = self._keys
         j = bisect_left(keys, rem_abs)
         if j < len(keys) and keys[j] == rem_abs:
             self._bmass[j] += mass_abs
-            self._bcnt[j] += 1
+            self._bcnt[j] += count
         else:
             keys.insert(j, rem_abs)
             self._bmass.insert(j, mass_abs)
-            self._bcnt.insert(j, 1)
-        self._vec = None
-        self._window_moved = True
+            self._bcnt.insert(j, count)
 
-    def _sub_bin(self, rem_abs: int, mass_abs: int) -> None:
-        j = bisect_left(self._keys, rem_abs)
-        self._bmass[j] -= mass_abs
-        self._bcnt[j] -= 1
-        # a bin at or before the clock holds nothing at depth >= 1
-        if rem_abs > self._clock:
-            self._vec = None
-            self._window_moved = True
+    def _book(self, ids: Sequence[int], entry: _PlannedEntry, exact: bool) -> None:
+        self._reg.update(dict.fromkeys(ids, entry))
+        if self._by_len is not None:
+            self._by_len.setdefault(entry.assumed_len, {}).update(dict.fromkeys(ids))
+        if not exact:
+            self._expiry.setdefault(entry.rem_abs, []).extend(ids)
 
-    def advance(self, clock: int, completed: Iterable[int] = ()) -> None:
-        """Move to a later slot and drop entries whose requests finished.
+    def advance(self, clock: int) -> None:
+        """Move to a later slot.
 
         Expired assumption windows migrate to the overdue aggregate; bins
         entirely in the past fall off at the next densify or shift.
         """
-        # a one-slot step can reuse the dense vector unless a bin inside
-        # the new window changes on the way; the overdue aggregate only
-        # touches depth 1, which the shift computes afresh anyway
+        # a one-slot step reuses the dense vector: on the way only bins at
+        # the new clock change, and the overdue aggregate touches depth 1,
+        # which the shift computes afresh anyway
         prev = self._vec if clock == self._clock + 1 else None
         if clock > self._clock:
             self._vec = None  # the dense depth grid is anchored at the clock
-        self._window_moved = False
+        reg = self._reg
+        overdue = self._overdue
         while self._clock < clock:
             self._clock += 1
             ids = self._expiry.pop(self._clock, None)
             if ids:
                 t = self._clock
                 for rid in ids:
-                    e = self._reg.get(rid)
-                    if e is not None and e.rem_abs == t and rid not in self._overdue:
-                        self._overdue.add(rid)
-                        self._sub_bin(t, e.mass_abs)
+                    e = reg.get(rid)
+                    if e is not None and e.rem_abs == t and rid not in overdue:
+                        overdue.add(rid)
+                        j = bisect_left(self._keys, t)
+                        self._bmass[j] -= e.mass_abs
+                        self._bcnt[j] -= 1
                         self._ov_mass += e.mass_abs
                         self._ov_cnt += 1
-        self._discard(completed)
-        if prev is not None and not self._window_moved:
+        if prev is not None:
             self._shift(prev)
-        elif self._keys and self._keys[0] <= self._clock:
-            self._vec = None
-
-    def _discard(self, ids: Iterable[int]) -> None:
-        reg = self._reg
-        overdue = self._overdue
-        t = self._clock
-        for rid in ids:
-            e = reg.pop(rid, None)
-            if e is None:
-                continue
-            if rid in overdue:
-                overdue.discard(rid)
-                self._ov_mass -= e.mass_abs
-                self._ov_cnt -= 1
-                self._vec = None
-            elif e.rem_abs > t:
-                self._sub_bin(e.rem_abs, e.mass_abs)
-            # else: it expired exactly on schedule and its bin is already stale
 
     def _shift(self, prev: List[int]) -> None:
         """Re-anchor prev, the dense vector of the previous slot, at the clock.
@@ -350,12 +352,7 @@ class AdmissionPlanner:
         on depth 1 (prev[0], which carried the old one, drops out).
         """
         t = self._clock
-        keys = self._keys
-        cut = bisect_right(keys, t)
-        if cut:
-            del keys[:cut]
-            del self._bmass[:cut]
-            del self._bcnt[:cut]
+        keys = self._drop_past_bins()
         n = len(prev)
         vec = [v - 1 for v in prev[1:]]
         j = bisect_left(keys, t + n)
@@ -365,13 +362,56 @@ class AdmissionPlanner:
         self._vec = vec
         self._front = None
 
-    def remove(self, rid: int) -> _PlannedEntry:
-        """Forget an evicted request's contribution; return its record."""
-        e = self._reg.get(rid)
+    def _forget(self, rid: int) -> Tuple[int, int, bool]:
+        """Drop a request from the registry and the overdue aggregate;
+        return its mass_abs and rem_abs, and whether it was overdue."""
+        e = self._reg.pop(rid, None)
         if e is None:
             raise KeyError(f"request {rid} is not tracked by the planner")
-        self._discard((rid,))
-        return e
+        if self._by_len is not None:
+            group = self._by_len[e.assumed_len]
+            del group[rid]
+            if not group:
+                del self._by_len[e.assumed_len]
+        overdue = rid in self._overdue
+        if overdue:
+            self._overdue.discard(rid)
+            self._ov_mass -= e.mass_abs
+            self._ov_cnt -= 1
+        return e.mass_abs, e.rem_abs, overdue
+
+    def remove(self, *rids: int) -> None:
+        """Forget requests evicted in the current slot: from now on they
+        count at no depth."""
+        t = self._clock
+        for rid in rids:
+            mass_abs, rem_abs, overdue = self._forget(rid)
+            if rem_abs > t:
+                self._add_bin(rem_abs, -mass_abs, -1)
+            if rem_abs > t + 1:
+                self._vec = None  # it reached past depth 1: densify at the next query
+            elif (overdue or rem_abs > t) and self._vec is not None:
+                self._vec[0] -= mass_abs + t + 1  # all that was left of it, at depth 1
+                self._front = None
+
+    def complete(self, *rids: int) -> None:
+        """Forget requests that finish at the end of the current slot. They
+        still count in it (depth 1); one that finishes before or after its
+        assumed length frees the rest of that length."""
+        t = self._clock
+        reg = self._reg
+        for rid in rids:
+            e = reg.get(rid)
+            if e is not None and e.rem_abs == t + 1 and self._by_len is None:
+                del reg[rid]  # on schedule and ungrouped: it counts in this slot only, as booked
+                continue
+            mass_abs, rem_abs, overdue = self._forget(rid)
+            if rem_abs > t + 1 or overdue:
+                # off schedule: keep only its footprint in this slot
+                if not overdue:
+                    self._add_bin(rem_abs, -mass_abs, -1)
+                    self._vec = None  # depths 2 and deeper changed: densify at the next query
+                self._add_bin(t + 1, mass_abs, 1)
 
     def tracked(self, rid: int) -> bool:
         return rid in self._reg
@@ -379,14 +419,40 @@ class AdmissionPlanner:
     def entry(self, rid: int) -> _PlannedEntry:
         return self._reg[rid]
 
-    def _densify(self, upto: int) -> None:
-        t = self._clock
+    def iter_by_assumed_len(self) -> Iterator[Tuple[int, int]]:
+        """(assumed_len, id) of every booked request: shortest assumed
+        length first, the most recent booking first among equals. Read it
+        before changing the planner."""
+        by_len = self._by_len
+        if by_len is None:
+            # the registry holds the booked ids in booking order
+            by_len = self._by_len = {}
+            for rid, e in self._reg.items():
+                by_len.setdefault(e.assumed_len, {})[rid] = None
+        for x in sorted(by_len):
+            for rid in reversed(by_len[x]):
+                yield x, rid
+
+    def take_booked(self) -> List[Optional[int]]:
+        """Ids booked since the last call, in booking order (None for each
+        anonymous booking)."""
+        booked = self._booked
+        self._booked = []
+        return booked
+
+    def _drop_past_bins(self) -> List[int]:
+        """Drop the bins at or before the clock (empty at every depth)."""
         keys = self._keys
-        cut = bisect_right(keys, t)
+        cut = bisect_right(keys, self._clock)
         if cut:
             del keys[:cut]
             del self._bmass[:cut]
             del self._bcnt[:cut]
+        return keys
+
+    def _densify(self, upto: int) -> None:
+        t = self._clock
+        keys = self._drop_past_bins()
         if upto > self._maxx:
             self._maxx = upto
         depth = self._maxx
@@ -478,25 +544,22 @@ class AdmissionPlanner:
         req_ids: Optional[Sequence[int]] = None,
         exact: bool = True,
     ) -> None:
-        """Admit count identical candidates in one pass."""
+        """Book count identical candidates in one pass; req_ids, when given,
+        names them in booking order. exact says each ends when assumed_len
+        says; otherwise one that outlives it turns overdue."""
         if count <= 0:
             return
+        if req_ids is not None and len(req_ids) != count:
+            raise ValueError(f"{len(req_ids)} ids name {count} candidates")
         t = self._clock
         rem_abs = t + assumed_len
         mass_abs = prompt_len - t
-        keys = self._keys
-        j = bisect_left(keys, rem_abs)
-        if j < len(keys) and keys[j] == rem_abs:
-            self._bmass[j] += mass_abs * count
-            self._bcnt[j] += count
+        self._add_bin(rem_abs, mass_abs * count, count)
+        if req_ids is None:
+            self._booked.extend(repeat(None, count))
         else:
-            keys.insert(j, rem_abs)
-            self._bmass.insert(j, mass_abs * count)
-            self._bcnt.insert(j, count)
-        if req_ids is not None:
-            self._reg.update(dict.fromkeys(req_ids, _PlannedEntry(mass_abs, rem_abs)))
-            if not exact:
-                self._expiry.setdefault(rem_abs, []).extend(req_ids)
+            self._booked.extend(req_ids)
+            self._book(req_ids, _PlannedEntry(mass_abs, rem_abs, assumed_len), exact)
         vec = self._vec
         if vec is not None:
             # in-place range add: each candidate holds l + d at depth d <= x
@@ -513,17 +576,15 @@ class AdmissionPlanner:
         assumed_len: int,
         exact: bool = True,
     ) -> None:
-        """Register an already-active request (assumed_len > generated)."""
-        if assumed_len <= generated:
-            return
+        """Register an already-active request; one that has generated its
+        assumed length already counts as finishing one slot ahead."""
         t = self._clock
-        rem_abs = t + (assumed_len - generated)
+        rem_abs = t + max(assumed_len - generated, 1)
         mass_abs = (prompt_len + generated) - t
-        self._add_bin(rem_abs, mass_abs)
+        self._add_bin(rem_abs, mass_abs, 1)
+        self._vec = None
         if rid is not None:
-            self._reg[rid] = _PlannedEntry(mass_abs, rem_abs)
-            if not exact:
-                self._expiry.setdefault(rem_abs, []).append(rid)
+            self._book((rid,), _PlannedEntry(mass_abs, rem_abs, assumed_len), exact)
 
 
 class Policy:
@@ -554,6 +615,13 @@ class Policy:
 
     def decide(self, view: PolicyView) -> ActivationDecision:
         raise NotImplementedError
+
+    def assumed_len(self, req_id: int, decode_len: Optional[int]) -> int:
+        """The output length this policy books a request under in the
+        ledger (decode_len is None where it is hidden). A policy that reads
+        PolicyView.ledger defines it; the ledger asks it for requests that
+        were already active when it was built."""
+        raise NotImplementedError(f"policy {self.name} reads the ledger but defines no assumed_len")
 
     def evict(self, view: PolicyView, required_release: int) -> EvictionDecision:
         ids: List[int] = []
@@ -700,7 +768,6 @@ class MemoryConstrained(Policy):
         if assume_max_output is not None and assume_max_output < 1:
             raise ValueError(f"assume_max_output must be >= 1, got {assume_max_output}")
         self.assume_max_output = assume_max_output
-        self._planner_state: Optional[AdmissionPlanner] = None
 
     def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
         reason = super().applicable(spec)
@@ -708,44 +775,17 @@ class MemoryConstrained(Policy):
             return "needs assume_max_output when output lengths are hidden"
         return reason
 
-    def reset(self, seed_seq=None) -> None:
-        self._planner_state = None
-
-    def _assumed(self, decode_len: Optional[int], generated: int = 0) -> int:
+    def assumed_len(self, req_id: int, decode_len: Optional[int]) -> int:
         if decode_len is not None:
             return decode_len
         if self.assume_max_output is None:
             raise PolicyApplicabilityError(
                 f"policy {self.name} needs assume_max_output when output lengths are hidden"
             )
-        return max(self.assume_max_output, generated + 1)
-
-    def _sync_planner(self, view: PolicyView) -> AdmissionPlanner:
-        """Carry one planner across slots instead of rebuilding from scratch.
-
-        The first call seeds it from the visible active set; afterwards it
-        is kept aligned through this policy's own admissions and evictions
-        plus the engine's completion feed.
-        """
-        planner = self._planner_state
-        if planner is None or planner.kv_capacity != view.kv_capacity:
-            planner = AdmissionPlanner((), view.kv_capacity, clock=view.clock)
-            for av in view.iter_active():
-                planner.bootstrap(
-                    av.id,
-                    av.prompt_len,
-                    av.generated,
-                    self._assumed(av.decode_len, av.generated),
-                    exact=av.decode_len is not None,
-                )
-            view.take_completions()
-            self._planner_state = planner
-        else:
-            planner.advance(view.clock, view.take_completions())
-        return planner
+        return self.assume_max_output
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        planner = self._sync_planner(view)
+        ledger = view.ledger(self)
         waiting_len = view.waiting_len
         if waiting_len == 0:
             return ActivationDecision([])
@@ -760,34 +800,25 @@ class MemoryConstrained(Policy):
         room = 0
         for r in view._waiting_records():
             decode_len = r.decode_len if r.output_known else None
-            cand = (r.prompt_len, self._assumed(decode_len), decode_len is not None)
+            cand = (r.prompt_len, self.assumed_len(r.id, decode_len), decode_len is not None)
             if cand != sig:
                 if run:
-                    planner.admit_many(len(run), sig[0], sig[1], req_ids=run, exact=sig[2])
+                    ledger.admit_many(len(run), sig[0], sig[1], req_ids=run, exact=sig[2])
                     acts.extend(run)
                     run = []
                 sig = cand
-                if not planner.max_admissible(cand[0], cand[1], 1):
+                if not ledger.max_admissible(cand[0], cand[1], 1):
                     break  # head-of-line: the first rejection ends the scan
                 room = 0  # asked for once a second copy shows up
             elif not room:
-                room = planner.max_admissible(cand[0], cand[1], waiting_len)
+                room = ledger.max_admissible(cand[0], cand[1], waiting_len)
             if run and len(run) == room:
                 break
             run.append(r.id)
         if run:
-            planner.admit_many(len(run), sig[0], sig[1], req_ids=run, exact=sig[2])
+            ledger.admit_many(len(run), sig[0], sig[1], req_ids=run, exact=sig[2])
             acts.extend(run)
         return ActivationDecision(acts)
-
-    def evict(self, view: PolicyView, required_release: int) -> EvictionDecision:
-        decision = super().evict(view, required_release)
-        planner = self._planner_state
-        if planner is not None:
-            for rid in decision.to_evict:
-                if planner.tracked(rid):
-                    planner.remove(rid)
-        return decision
 
 
 class ShortestFirstMemoryConstrained(MemoryConstrained):
@@ -811,7 +842,7 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
         return (r.decode_len, r.prompt_len)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        planner = self._sync_planner(view)
+        ledger = view.ledger(self)
         # ids are unique, so comparisons never reach the group
         heap = []
         for group in view._waiting_groups().values():
@@ -826,7 +857,7 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
             prompt_len = group.key[1]
             start = taken.get(group, 0)
             limit = len(group) - start
-            take = planner.max_admissible(prompt_len, decode_len, limit)
+            take = ledger.max_admissible(prompt_len, decode_len, limit)
             if take == 0:
                 # every waiting request with this signature is equally
                 # infeasible for the rest of the slot: skip the group
@@ -838,7 +869,7 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
                 take = min(take, limit)
             run = list(islice(group, start, start + take + 1))  # and the next head
             ids = [r.id for r in run[:take]]
-            planner.admit_many(take, prompt_len, decode_len, req_ids=ids, exact=True)
+            ledger.admit_many(take, prompt_len, decode_len, req_ids=ids, exact=True)
             acts.extend(ids)
             taken[group] = start + take
             if take < limit or len(run) == take:
@@ -857,6 +888,10 @@ class AdaptivePrediction(Policy):
     first among equals) and doubles the evicted request's prediction, or
     raises it past the observed progress, whichever is larger; predictions
     persist across re-admissions. Never reads true decode lengths.
+
+    An active request's prediction is the length it is booked under in
+    the ledger; _pred holds the raised predictions of evicted requests
+    until they are activated again.
     """
 
     name = "amin"
@@ -866,21 +901,9 @@ class AdaptivePrediction(Policy):
             raise ValueError(f"min_output must be >= 1, got {min_output}")
         self.min_output = min_output
         self._pred: Dict[int, int] = {}
-        self._planner_state: Optional[AdmissionPlanner] = None
-        # current admission episode: id -> (prediction, prompt_len)
-        self._meta: Dict[int, Tuple[int, int]] = {}
-        # prediction -> ids in admission order; eviction pops the smallest
-        # prediction's most recent admission. Entries of finished episodes
-        # stay until popped or compacted: an entry is live while its id's
-        # episode carries this prediction, and a re-admission after an
-        # eviction always carries a larger one
-        self._stacks: Dict[int, List[int]] = {}
 
     def reset(self, seed_seq=None) -> None:
         self._pred = {}
-        self._planner_state = None
-        self._meta = {}
-        self._stacks = {}
 
     def group_key(self, r: Request) -> Tuple[int, int]:
         # read on every (re-)entry, so an evicted request waits under the
@@ -888,38 +911,15 @@ class AdaptivePrediction(Policy):
         return (r.prompt_len, self._pred.get(r.id, self.min_output))
 
     def prediction(self, req_id: int) -> int:
+        """A waiting request's prediction."""
         return self._pred.get(req_id, self.min_output)
 
-    def _register_many(self, ids: Sequence[int], prompt_len: int, predicted: int) -> None:
-        """Open an admission episode for each id, in admission order."""
-        self._meta.update(dict.fromkeys(ids, (predicted, prompt_len)))
-        stack = self._stacks.get(predicted)
-        if stack is None:
-            self._stacks[predicted] = list(ids)
-        else:
-            stack.extend(ids)
-
-    def _sync_planner(self, view: PolicyView) -> AdmissionPlanner:
-        planner = self._planner_state
-        if planner is None or planner.kv_capacity != view.kv_capacity:
-            planner = AdmissionPlanner((), view.kv_capacity, clock=view.clock)
-            for av in view.iter_active():
-                predicted = self.prediction(av.id)
-                eff = max(predicted, av.generated + 1)
-                planner.bootstrap(av.id, av.prompt_len, av.generated, eff, exact=False)
-                self._register_many((av.id,), av.prompt_len, predicted)
-            view.take_completions()
-            self._planner_state = planner
-        else:
-            done = view.take_completions()
-            planner.advance(view.clock, done)
-            for rid in done:
-                self._meta.pop(rid, None)
-                self._pred.pop(rid, None)
-        return planner
+    def assumed_len(self, req_id: int, decode_len: Optional[int]) -> int:
+        return self.prediction(req_id)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        planner = self._sync_planner(view)
+        ledger = view.ledger(self)
+        pred = self._pred
         # ids are unique, so comparisons never reach the group
         heap = []
         for group in view._waiting_groups().values():
@@ -934,7 +934,7 @@ class AdaptivePrediction(Policy):
             prompt_len, predicted = group.key
             start = taken.get(group, 0)
             limit = len(group) - start
-            take = planner.max_admissible(prompt_len, predicted, limit)
+            take = ledger.max_admissible(prompt_len, predicted, limit)
             if take == 0:
                 continue  # head infeasible: skip the whole group this slot
             # the group's next members stay ahead of every other candidate
@@ -944,8 +944,11 @@ class AdaptivePrediction(Policy):
                 take = min(take, limit)
             run = list(islice(group, start, start + take + 1))  # and the next head
             ids = [r.id for r in run[:take]]
-            planner.admit_many(take, prompt_len, predicted, req_ids=ids, exact=False)
-            self._register_many(ids, prompt_len, predicted)
+            ledger.admit_many(take, prompt_len, predicted, req_ids=ids, exact=False)
+            if predicted != self.min_output:
+                # raised by an eviction: the ledger holds it from now on
+                for rid in ids:
+                    del pred[rid]
             acts.extend(ids)
             taken[group] = start + take
             if take < limit or len(run) == take:
@@ -954,34 +957,18 @@ class AdaptivePrediction(Policy):
         return ActivationDecision(acts)
 
     def evict(self, view: PolicyView, required_release: int) -> EvictionDecision:
-        planner = self._sync_planner(view)
         t = view.clock
-        stacks = self._stacks
-        meta = self._meta
+        active = view._active
         ids: List[int] = []
         freed = 0
-        for predicted in sorted(stacks):
-            stack = stacks[predicted]
-            while stack and freed < required_release:
-                rid = stack.pop()
-                rec = meta.get(rid)
-                if rec is None or rec[0] != predicted or not planner.tracked(rid):
-                    continue  # stale: evicted, completed, or re-admitted since
-                entry = planner.remove(rid)
-                generated = entry.mass_abs + t - rec[1]
-                freed += entry.mass_abs + t + 1
-                self._pred[rid] = max(2 * predicted, generated + 1)
-                del meta[rid]
-                ids.append(rid)
+        for predicted, rid in view.ledger(self).iter_by_assumed_len():
+            r = active[rid]
+            generated = t - r.activation_slot
+            freed += r.prompt_len + generated + 1
+            self._pred[rid] = max(2 * predicted, generated + 1)
+            ids.append(rid)
             if freed >= required_release:
                 break
-        if sum(map(len, stacks.values())) > max(64, 4 * len(meta)):
-            for predicted in list(stacks):
-                live = [rid for rid in stacks[predicted] if meta.get(rid, (None,))[0] == predicted]
-                if live:
-                    stacks[predicted] = live
-                else:
-                    del stacks[predicted]
         return EvictionDecision(ids)
 
 

@@ -260,6 +260,32 @@ class TestRun:
         capsys.readouterr()
         assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
+    def test_each_seed_written_before_the_next_runs(self, tmp_path, capsys, monkeypatch):
+        doc = base_config(seeds=[0, 1, 2], emit={"series_csv": True, "event_log": True})
+        cfg = write_config(tmp_path, doc)
+        one, two = tmp_path / "jobs1", tmp_path / "jobs2"
+        real_task = cli._run_task
+        started, missing = [], []
+
+        def run_task(task):
+            for prev in started:
+                for name in (f"metrics_seed{prev}.json", f"series_seed{prev}.csv", f"events_seed{prev}.csv"):
+                    if not (one / name).exists():
+                        missing.append(name)
+            started.append(task[4])
+            return real_task(task)
+
+        monkeypatch.setattr(cli, "_run_task", run_task)
+        assert cli.main(["run", "-c", cfg, "--out", str(one), "--jobs", "1"]) == 0
+        monkeypatch.undo()
+        assert started == [0, 1, 2] and missing == []
+        assert cli.main(["run", "-c", cfg, "--out", str(two), "--jobs", "2"]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in one.iterdir())
+        assert len(names) == 10 and names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
     def test_csv_summary_format(self, tmp_path, capsys):
         doc = base_config(seeds=[0])
         out = tmp_path / "out"

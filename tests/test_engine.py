@@ -278,6 +278,32 @@ class TestStateValidation:
         with pytest.raises(EngineError, match="not active"):
             run(arrivals, Wild(), kv_capacity=5)
 
+    @pytest.mark.parametrize(
+        "booked, activated",
+        [
+            ([1, 2], [1]),  # books an id it does not activate
+            ([1], [1, 2]),  # activates an id it did not book
+            ([2, 1], [1, 2]),  # books both, out of activation order
+            (None, [1]),  # books an anonymous candidate in place of an id
+        ],
+    )
+    def test_ledger_bookings_must_match_activations(self, booked, activated):
+        class Misbooks(Policy):
+            name = "misbooks"
+
+            def assumed_len(self, req_id, decode_len):
+                return decode_len
+
+            def decide(self, view):
+                if view.clock > 1:
+                    return ActivationDecision([])
+                view.ledger(self).admit_many(len(booked or [0]), 3, 3, req_ids=booked)
+                return ActivationDecision(activated)
+
+        arrivals = [[req(1, 3, 3, 1), req(2, 3, 3, 1)], [], [], []]
+        with pytest.raises(EngineError, match="booked"):
+            run(arrivals, Misbooks(), kv_capacity=100)
+
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ValueError):
             Engine(FixedSchedule({}), kv_capacity=0)

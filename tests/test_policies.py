@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from kvflow.core import Request, WaitingQueue, peak_projection
-from kvflow.engine import run as engine_run
+from kvflow.engine import Engine, run as engine_run
 from kvflow.policies import (
     ActivationDecision,
     AdmissionPlanner,
@@ -235,6 +235,16 @@ class TestMemoryConstrained:
         with pytest.raises(PolicyApplicabilityError):
             p.decide(view_of(1, 100, [waiting_req(1, 10, 3, known=False)]))
 
+    def test_early_completion_releases_the_assumed_tail(self):
+        # request 1 is booked for 8 slots but finishes after 2; from slot 3
+        # the ledger no longer holds its tail, so request 2 (peak 10 + 8)
+        # fits next to nothing
+        arrivals = [[waiting_req(1, 10, 2, known=False)], [waiting_req(2, 10, 8, arrival=2, known=False)]]
+        arrivals += [[] for _ in range(10)]
+        result = engine_run(arrivals, MemoryConstrained(assume_max_output=8), kv_capacity=20, record_events=True)
+        activations = [(t, rid) for t, kind, rid, _ in result.events if kind == "activate"]
+        assert activations == [(1, 1), (3, 2)]
+
     def test_hidden_outputs_use_worst_case(self):
         p = MemoryConstrained(assume_max_output=5)
         # true o = 1 but the policy must budget for o = 5: peak 15
@@ -284,9 +294,9 @@ class TestMemoryConstrained:
 
             p = MemoryConstrained(assume_max_output=assume)
             assert p.decide(view).to_activate == expected
-            assert p._planner_state.projection(12) == ref.projection(12)
+            assert view.ledger(p).projection(12) == ref.projection(12)
             for rid in expected:
-                assert p._planner_state.tracked(rid)
+                assert view.ledger(p).tracked(rid)
         assert cut_mid_run > 20  # the bulk path really stopped inside runs
 
 class TestShortestFirst:
@@ -393,9 +403,10 @@ class TestAdaptivePrediction:
         # next slot the victim waits again; its raised prediction persists
         # and the policy still re-admits it when the trajectory fits
         back = waiting_req(2, 10, 60, arrival=4, known=False)
-        d2 = p.decide(view_of(12, 100, waiting=[back], active=[req1], policy=p))
+        v2 = view_of(12, 100, waiting=[back], active=[req1], policy=p)
+        d2 = p.decide(v2)
         assert d2.to_activate == [2]
-        assert p.prediction(2) == 10
+        assert v2.ledger(p).entry(2).assumed_len == 10
 
     def test_eviction_tie_prefers_most_recent(self):
         p = AdaptivePrediction(min_output=5)
@@ -417,6 +428,25 @@ class TestAdaptivePrediction:
         v = view_of(13, 100, active=[a])  # generated 12, prediction 5
         p.evict(v, required_release=1)
         assert p.prediction(1) == max(2 * 5, 12 + 1)
+
+    def test_ledger_and_predictions_follow_the_active_set(self):
+        # the engine's ledger books exactly the active requests, and an
+        # active request's prediction lives there: after a run, _pred holds
+        # only requests that wait after an eviction
+        rng = random.Random(5)
+        engine = Engine(AdaptivePrediction(min_output=1), kv_capacity=60)
+        rid = 0
+        for t in range(1, 301):
+            slot = []
+            for _ in range(rng.randint(0, 2)):
+                rid += 1
+                slot.append(waiting_req(rid, rng.randint(1, 6), rng.randint(1, 30), arrival=t, known=False))
+            engine.step(slot)
+        assert engine.eviction_count > 100 and len(engine.completed_slot) > 20
+        ledger = engine._view._ledger
+        assert sorted(rid for _, rid in ledger.iter_by_assumed_len()) == sorted(engine.state.active)
+        assert engine.policy._pred
+        assert all(rid in engine.state.waiting for rid in engine.policy._pred)
 
     def test_never_reads_decode_len(self):
         p = AdaptivePrediction(min_output=3)
@@ -531,11 +561,36 @@ class TestAdmissionPlanner:
             assert one.feasible(*probe) == many.feasible(*probe)
 
 
+    def test_admit_many_needs_one_id_per_candidate(self):
+        planner = AdmissionPlanner((), kv_capacity=100)
+        with pytest.raises(ValueError, match="1 ids name 2 candidates"):
+            planner.admit_many(2, 3, 3, req_ids=[7])
+        assert not planner.tracked(7) and planner.take_booked() == []
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_complete_keeps_the_last_slot_and_frees_the_rest(self, dense):
+        # finishes on schedule (1), early (2) and overdue (3) in slot 2:
+        # each still counts at the end of slot 2, and nowhere later
+        planner = AdmissionPlanner((), kv_capacity=10**9, clock=0)
+        planner.admit(5, 3, req_id=1, exact=True)
+        planner.admit(4, 10, req_id=2, exact=False)
+        planner.admit(3, 1, req_id=3, exact=False)
+        planner.advance(1)
+        planner.advance(2)
+        if dense:  # the dense vector is built before the finishes
+            assert planner.projection(3) == [21, 8, 9]
+        planner.complete(1, 2, 3)
+        assert not any(map(planner.tracked, (1, 2, 3)))
+        assert planner.projection(3) == [21, 0, 0]
+        planner.advance(3)
+        assert planner.projection(3) == [0, 0, 0]
+
     def test_shifted_vector_tracks_peak_projection(self):
         # a one-slot advance re-anchors the dense vector instead of
         # rebuilding it; after every step it must still be the exact
-        # projection, through on-schedule and early completions, overdue
-        # entries, evictions, and windows up to 140 slots
+        # projection, through on-schedule and early completions (removed at
+        # the end of their last slot, as the engine does), overdue entries,
+        # evictions, and windows up to 140 slots
         def expected(live, clock, horizon):
             entries = []
             for l, start, _, x, exact in live.values():
@@ -551,10 +606,7 @@ class TestAdmissionPlanner:
             next_id = 1
             for clock in range(70):
                 if clock:
-                    done = [rid for rid, e in live.items() if e[1] + e[2] == clock]
-                    for rid in done:
-                        del live[rid]
-                    planner.advance(clock, done)
+                    planner.advance(clock)
                     shifts += planner._vec is not None
                     assert planner.projection(140) == expected(live, clock, 140)
                 for _ in range(rng.randint(0, 3)):
@@ -577,6 +629,9 @@ class TestAdmissionPlanner:
                 brute = all(proj[d - 1] + l + d <= budget for d in range(1, x + 1))
                 assert planner.feasible(l, x) == brute
                 planner.kv_capacity = 10**9
+                for rid in [rid for rid, e in live.items() if e[1] + e[2] - 1 == clock]:
+                    planner.complete(rid)
+                    del live[rid]
         assert shifts > 24 * 69 // 2  # most steps took the shift, not a rebuild
 
 class TestFactoryAndSpec:
