@@ -32,7 +32,7 @@ from kvflow.core import (
     usage,
     workload_tokens,
 )
-from kvflow.engine import RunResult, run
+from kvflow.engine import RunResult, event_rows, run
 from kvflow.metrics import MetricsReport, compute_metrics, recompute_from_events
 from kvflow.oracle import OfflineInstance, OfflineRequest, Solution, solve
 from kvflow.policies import Policy, PolicyApplicabilityError, make_policy
@@ -85,6 +85,7 @@ __all__ = [
     "check_overload_explosion",
     "check_sufficient_known",
     "compute_metrics",
+    "event_rows",
     "explosion_threshold",
     "generate_arrivals",
     "ingest_trace",

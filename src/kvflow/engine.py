@@ -24,6 +24,15 @@ arrival position.
 
 The engine also keeps the footprint ledger a policy asks for in step with
 the active set (see PolicyView.ledger).
+
+With record_events on, the engine keeps an event log: one
+(slot, kind, request_id, usage_after) entry per arrival, activation,
+overflow, eviction and completion, in phase order within each slot. The
+decode phase records one entry per slot whose active set is nonempty,
+(slot, "decode_step", ids, usage_after), with ids a tuple of the active
+requests in decode order, which is activation order with re-activations
+last. event_rows expands a log to one row per event, and
+write_events_csv writes those rows.
 """
 
 from __future__ import annotations
@@ -31,7 +40,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -63,6 +71,9 @@ _EVENT_HEADER = ",".join(EVENT_FIELDS) + "\r\n"
 _EVENT_ROW = "%d,%s,%d,%d\r\n"
 _EVENT_CHUNK_ROWS = 4096
 
+# one log entry: a row, or a slot's decode rows with their ids in a tuple
+EventEntry = Tuple[int, str, Union[int, Tuple[int, ...]], int]
+
 
 @dataclass
 class RunResult:
@@ -72,7 +83,9 @@ class RunResult:
     still counted); waiting_len / active_len are post-release queue sizes.
     budgets holds the per-slot activation budget drawn by the policy, or
     -1 where the policy has none. completed_* arrays are aligned records
-    of every completed request.
+    of every completed request. events is the event log when the run
+    recorded one: one entry per event, except that each slot's decode
+    rows share one entry holding a tuple of ids (see event_rows).
     """
 
     policy_name: str
@@ -99,7 +112,7 @@ class RunResult:
     class_waiting: Optional[np.ndarray] = None
     class_arrivals: Optional[np.ndarray] = None
     exhausted_slot: Optional[int] = None
-    events: Optional[List[Tuple[int, str, int, int]]] = None
+    events: Optional[List[EventEntry]] = None
 
     @property
     def completed_count(self) -> int:
@@ -165,25 +178,60 @@ class RunResult:
             w.writerows(zip(slots, *(map(int, c) for c in columns), strict=True))
 
 
-def write_events_csv(events: Iterable[Tuple[int, str, int, int]], path) -> None:
-    """Write an event log as CSV, byte for byte what csv.writer would write.
+def event_rows(events: Iterable[EventEntry]) -> Iterator[Tuple[int, str, int, int]]:
+    """Expand an event log to one (slot, kind, request_id, usage_after)
+    row per event.
+
+    A decode entry, (slot, "decode_step", ids, usage_after) with ids a
+    tuple, gives one row per id in order; an empty tuple gives none.
+    Every other entry, a plain row log's decode rows included, is a row
+    already and passes through unchanged.
+    """
+    for entry in events:
+        ids = entry[2]
+        if type(ids) is tuple:
+            slot, kind, _, usage_after = entry
+            for rid in ids:
+                yield slot, kind, rid, usage_after
+        else:
+            yield entry
+
+
+def write_events_csv(events: Iterable[EventEntry], path) -> None:
+    """Write an event log as CSV, byte for byte what csv.writer would write
+    over event_rows(events).
 
     The first line is the header ``slot,kind,request_id,usage_after``; every
     line, the header included, ends in ``\\r\\n``. Each row is
     ``<slot>,<kind>,<request_id>,<usage_after>`` with the integers in
     decimal and nothing quoted. ``kind`` is one of ``arrive``, ``activate``,
     ``overflow``, ``evict``, ``decode_step`` and ``complete``; ``overflow``
-    rows carry ``request_id`` -1. Rows are formatted in bounded chunks, so
-    the whole file is never held as one string.
+    rows carry ``request_id`` -1. A decode entry's rows are formatted with
+    one string join, and a plain row log is written as it is. Rows go out
+    in chunks of about _EVENT_CHUNK_ROWS, so the whole file is never held
+    as one string.
     """
-    rows = iter(events)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_EVENT_HEADER)
-        while True:
-            chunk = "".join(map(_EVENT_ROW.__mod__, islice(rows, _EVENT_CHUNK_ROWS)))
-            if not chunk:
-                break
-            fh.write(chunk)
+        parts: List[str] = []
+        rows = 0
+        for entry in events:
+            ids = entry[2]
+            if type(ids) is tuple:
+                if not ids:
+                    continue
+                head = f"{entry[0]},{entry[1]},"
+                tail = f",{entry[3]}\r\n"
+                parts.append(head + (tail + head).join(map(str, ids)) + tail)
+                rows += len(ids)
+            else:
+                parts.append(_EVENT_ROW % entry)
+                rows += 1
+            if rows >= _EVENT_CHUNK_ROWS:
+                fh.write("".join(parts))
+                parts.clear()
+                rows = 0
+        fh.write("".join(parts))
 
 
 class Engine:
@@ -202,7 +250,7 @@ class Engine:
         self.policy = policy
         self.state = SimState(kv_capacity, seed, waiting=WaitingQueue(policy.group_key))
         self.record_events = record_events
-        self.events: List[Tuple[int, str, int, int]] = []
+        self.events: List[EventEntry] = []
         self._calendar: Dict[int, List[Request]] = {}  # end slot -> bookings
         self._view = PolicyView(
             clock=0,
@@ -358,9 +406,8 @@ class Engine:
         usage_end = projected
         decode_count = len(active)
         self.generated_tokens += decode_count
-        if record:
-            for rid in active:
-                events.append((t, EVENT_DECODE, rid, usage_end))
+        if record and decode_count:
+            events.append((t, EVENT_DECODE, tuple(active), usage_end))
 
         # phase 5: completions release at end of slot
         self.series_usage.append(usage_end)

@@ -31,6 +31,7 @@ from kvflow.engine import (
     EVENT_DECODE,
     EVENT_EVICT,
     EVENT_OVERFLOW,
+    EventEntry,
     RunResult,
 )
 
@@ -310,7 +311,7 @@ def compute_metrics(result: RunResult) -> MetricsReport:
 
 
 def recompute_from_events(
-    events: Sequence[Tuple[int, str, int, int]],
+    events: Iterable[EventEntry],
     kv_capacity: int,
     horizon: int,
     policy: str = "",
@@ -323,9 +324,15 @@ def recompute_from_events(
     activate-to-complete span, wasted tokens from the activate-to-evict
     span, and the usage series from decode events (a slot with no decode
     events holds nothing, so its usage is 0). Used as an oracle for
-    compute_metrics.
+    compute_metrics. The log may be a recorded one, whose decode entries
+    hold a tuple of ids, or a plain row log such as a parsed events CSV:
+    a decode entry only sets its slot's usage either way. A log that
+    arrives an id twice, activates an id that is not waiting, or evicts
+    or completes an id that is not active raises ValueError.
     """
-    arrive_slot: Dict[int, int] = {}
+    # id -> arrival slot, kept for every id that arrived so that a repeat
+    # shows; None once the request completed
+    arrive_slot: Dict[int, Optional[int]] = {}
     act_slot: Dict[int, int] = {}
     # plain lists: a store into a list costs less than one into a numpy array
     arrive_per_slot = [0] * horizon
@@ -337,23 +344,38 @@ def recompute_from_events(
     overflow = 0
     evictions = 0
     arrivals = 0
+
+    def inconsistent(slot, kind, rid, why):
+        return ValueError(f"slot {slot}: {kind} of request {rid} {why}")
+
     for slot, kind, rid, usage_after in events:
         if not 1 <= slot <= horizon:
             raise ValueError(f"event slot {slot} outside horizon {horizon}")
         if kind == EVENT_DECODE:  # most rows of any log
             usage[slot - 1] = usage_after
         elif kind == EVENT_ARRIVE:
+            if rid in arrive_slot:
+                raise inconsistent(slot, kind, rid, "which arrived before")
             arrive_slot[rid] = slot
             arrive_per_slot[slot - 1] += 1
             arrivals += 1
         elif kind == EVENT_ACTIVATE:
+            if arrive_slot.get(rid) is None or rid in act_slot:
+                raise inconsistent(slot, kind, rid, "which is not waiting")
             act_slot[rid] = slot
         elif kind == EVENT_EVICT:
-            wasted += slot - act_slot.pop(rid)
+            started = act_slot.pop(rid, None)
+            if started is None:
+                raise inconsistent(slot, kind, rid, "which is not active")
+            wasted += slot - started
             evictions += 1
         elif kind == EVENT_COMPLETE:
-            retained += slot - act_slot.pop(rid) + 1
-            latencies.append(slot - arrive_slot.pop(rid) + 1)
+            started = act_slot.pop(rid, None)
+            if started is None:
+                raise inconsistent(slot, kind, rid, "which is not active")
+            retained += slot - started + 1
+            latencies.append(slot - arrive_slot[rid] + 1)
+            arrive_slot[rid] = None
             complete_per_slot[slot - 1] += 1
         elif kind == EVENT_OVERFLOW:
             overflow += 1

@@ -29,7 +29,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from kvflow.core import Request
-from kvflow.engine import run as engine_run
+from kvflow.engine import EventEntry, event_rows, run as engine_run
 from kvflow.metrics import MetricsReport, compute_metrics, nearest_rank
 from kvflow.policies import FixedSchedule, Policy
 
@@ -365,7 +365,7 @@ class DominanceReport:
     oracle_value: Value
     policy_value: Value
     oracle_schedule: Dict[int, Optional[int]]
-    policy_events: Tuple[Tuple[int, str, int, int], ...]
+    policy_events: Tuple[EventEntry, ...]  # the run's log as recorded
 
     def as_dict(self) -> dict:
         fmt = lambda v: "inf" if v == math.inf else str(v)
@@ -375,7 +375,7 @@ class DominanceReport:
             "oracle_value": fmt(self.oracle_value),
             "policy_value": fmt(self.policy_value),
             "oracle_schedule": {str(k): v for k, v in sorted(self.oracle_schedule.items())},
-            "policy_events": [list(e) for e in self.policy_events],
+            "policy_events": [list(row) for row in event_rows(self.policy_events)],
         }
 
 

@@ -20,6 +20,7 @@ from kvflow.engine import (
     EVENT_FIELDS,
     Engine,
     RunResult,
+    event_rows,
     run,
     write_events_csv,
 )
@@ -104,7 +105,7 @@ class TestSingleRequestTrace:
 
     def test_event_sequence(self):
         r = self.make()
-        assert r.events == [
+        assert list(event_rows(r.events)) == [
             (1, "arrive", 1, 0),
             (1, "activate", 1, 4),
             (1, "decode_step", 1, 4),
@@ -512,8 +513,9 @@ class TestSerialization:
         write_events_csv(r.events, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "slot,kind,request_id,usage_after"
-        assert len(lines) == len(r.events) + 1
-        first = r.events[0]
+        rows = list(event_rows(r.events))
+        assert len(lines) == len(rows) + 1
+        first = rows[0]
         assert lines[1] == f"{first[0]},{first[1]},{first[2]},{first[3]}"
 
     def test_events_omitted_unless_recorded(self):
@@ -523,11 +525,12 @@ class TestSerialization:
 
 
 def csv_writer_events(events, path):
-    """The csv.writer loop write_events_csv replaced: the byte reference."""
+    """The csv.writer loop write_events_csv replaced, over the log's rows:
+    the byte reference."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(EVENT_FIELDS)
-        for row in events:
+        for row in event_rows(events):
             w.writerow(row)
 
 
@@ -594,9 +597,9 @@ class TestArtifactBytes:
         assert fast.read_bytes() == ref.read_bytes()
 
     def test_policy_logs(self, results, tmp_path):
-        kinds = {kind for r in results for _, kind, _, _ in r.events}
+        kinds = {kind for r in results for _, kind, _, _ in event_rows(r.events)}
         assert kinds == {"arrive", "activate", "overflow", "evict", "decode_step", "complete"}
-        assert any(row[2] == -1 for r in results for row in r.events)
+        assert any(row[2] == -1 for r in results for row in event_rows(r.events))
         for r in results:
             self.assert_same_events(r.events, tmp_path)
 
@@ -606,10 +609,50 @@ class TestArtifactBytes:
 
     def test_logs_across_chunk_boundaries(self, results, tmp_path):
         chunk = _EVENT_CHUNK_ROWS
-        events = [row for r in results for row in r.events]
+        events = [row for r in results for row in event_rows(r.events)]
         assert len(events) > 2 * chunk
         for n in (chunk - 1, chunk, chunk + 1, 2 * chunk, len(events)):
             self.assert_same_events(events[:n], tmp_path)
+
+    def test_decode_entry_straddles_chunk_boundary(self, tmp_path):
+        # the decode entry's rows run from row chunk - 2 to row chunk + 2
+        chunk = _EVENT_CHUNK_ROWS
+        events = [(1, "arrive", rid, 0) for rid in range(1, chunk - 2)]
+        events.append((2, "decode_step", tuple(range(1, 6)), 1234))
+        events.append((2, "complete", 3, 1200))
+        assert len(list(event_rows(events))) == chunk + 3
+        self.assert_same_events(events, tmp_path)
+        text = (tmp_path / "fast.csv").read_text()
+        assert text.count("2,decode_step,") == 5
+
+    def test_single_active_request(self, tmp_path):
+        r = run([[req(1, 3, 2, 1)], []], FixedSchedule({1: [1]}), kv_capacity=10, record_events=True)
+        decode = [e for e in r.events if e[1] == "decode_step"]
+        assert decode == [(1, "decode_step", (1,), 4), (2, "decode_step", (1,), 5)]
+        self.assert_same_events(r.events, tmp_path)
+        assert (tmp_path / "fast.csv").read_bytes().endswith(b"2,decode_step,1,5\r\n2,complete,1,0\r\n")
+
+    def test_slots_with_empty_active_set(self, tmp_path):
+        # nothing is active in slots 1, 4 and 5, so they record no decode
+        # entry; an empty id tuple, hand-built, writes no row
+        arrivals = [[req(1, 2, 2, 1)], [], [], [], []]
+        r = run(arrivals, FixedSchedule({2: [1]}), kv_capacity=10, record_events=True)
+        assert [e[0] for e in r.events if e[1] == "decode_step"] == [2, 3]
+        self.assert_same_events(r.events, tmp_path)
+        hand = [(1, "arrive", 1, 0), (1, "decode_step", (), 0), (2, "decode_step", (), 0)]
+        assert list(event_rows(hand)) == [(1, "arrive", 1, 0)]
+        self.assert_same_events(hand, tmp_path)
+        assert (tmp_path / "fast.csv").read_bytes() == b"slot,kind,request_id,usage_after\r\n1,arrive,1,0\r\n"
+
+    def test_entry_count(self, results):
+        # one entry per non-decode row, plus one per slot with a nonempty
+        # active set
+        for r in results:
+            rows = list(event_rows(r.events))
+            other = sum(1 for row in rows if row[1] != "decode_step")
+            busy = int(np.count_nonzero(r.decode_tokens))
+            assert len(r.events) == other + busy
+            assert len(rows) - other == int(r.decode_tokens.sum())
 
     def test_series_csv(self, results, tmp_path):
         fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
@@ -651,10 +694,13 @@ class TestWastedWorkAccounting:
 
 
 def result_digest(r):
-    """sha256 over every RunResult array and counter plus the event log."""
+    """sha256 over every RunResult array and counter plus the event log,
+    taken row by row."""
     h = hashlib.sha256()
     for f in dataclasses.fields(r):
         value = getattr(r, f.name)
+        if f.name == "events":
+            value = list(event_rows(value))
         h.update(f.name.encode())
         if isinstance(value, np.ndarray):
             h.update(f"{value.dtype}{value.shape}".encode())

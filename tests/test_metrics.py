@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from kvflow.core import Request, RequestClass
-from kvflow.engine import run
+from kvflow.engine import event_rows, run
 from kvflow.metrics import (
     CSV_FIELDS,
     MetricsReport,
@@ -260,6 +260,15 @@ class TestEventLogRecompute:
                 seed=result.seed,
             )
             assert replayed == direct
+            # a plain row log, as parsed from the events CSV, replays alike
+            rows = recompute_from_events(
+                list(event_rows(result.events)),
+                kv_capacity=result.kv_capacity,
+                horizon=result.horizon,
+                policy=result.policy_name,
+                seed=result.seed,
+            )
+            assert rows == direct
 
     def test_token_accounting_bound(self):
         result = overloaded_run("flow_scalar", {"budget": 2})
@@ -280,6 +289,31 @@ class TestEventLogRecompute:
         for event in [(3, "arrive", 1, 0), (0, "decode_step", 1, 5), (3, "decode_step", 1, 5)]:
             with pytest.raises(ValueError, match="outside horizon"):
                 recompute_from_events([event], kv_capacity=10, horizon=2)
+
+    @pytest.mark.parametrize(
+        "log, message",
+        [
+            ([(1, "complete", 5, 0)], "slot 1: complete of request 5 which is not active"),
+            ([(1, "arrive", 1, 0), (2, "evict", 1, 0)], "slot 2: evict of request 1 which is not active"),
+            (
+                [(1, "arrive", 1, 0), (1, "activate", 1, 3), (2, "activate", 1, 6)],
+                "slot 2: activate of request 1 which is not waiting",
+            ),
+            ([(1, "arrive", 1, 0), (2, "arrive", 1, 0)], "slot 2: arrive of request 1 which arrived before"),
+            ([(1, "activate", 4, 3)], "slot 1: activate of request 4 which is not waiting"),
+            (
+                [(1, "arrive", 1, 0), (1, "activate", 1, 2), (1, "complete", 1, 0), (2, "activate", 1, 2)],
+                "slot 2: activate of request 1 which is not waiting",
+            ),
+            (
+                [(1, "arrive", 1, 0), (1, "activate", 1, 2), (1, "complete", 1, 0), (2, "complete", 1, 0)],
+                "slot 2: complete of request 1 which is not active",
+            ),
+        ],
+    )
+    def test_rejects_inconsistent_log(self, log, message):
+        with pytest.raises(ValueError, match=message):
+            recompute_from_events(log, kv_capacity=10, horizon=3)
 
 
 class TestStabilityEstimate:

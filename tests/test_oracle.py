@@ -2,6 +2,7 @@
 replay self-consistency, policy dominance, and the witness instance where
 the latency-optimal and token-optimal schedules part ways."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -286,6 +287,31 @@ class TestPolicyDominance:
         doc = json.loads(path.read_text())
         assert doc["instance"]["kv_capacity"] == 10
         assert doc["report"]["ok"] is True
+
+    def test_failure_file_lists_one_row_per_event(self, tmp_path):
+        # the report keeps the run's log with one decode entry per slot, and
+        # the failure file lists one row per event: these rows and bytes
+        # are what a log of one entry per row wrote
+        inst = OfflineInstance.build([(2, 3, 1), (1, 4, 1), (2, 2, 2), (3, 2, 3)], 14, 10, "avg_latency")
+        rep = verify_policy_dominance(inst, make_policy("flow_scalar", {"budget": 2}), seed=1)
+        assert (3, "decode_step", (1, 2, 3), 13) in rep.policy_events
+        assert sum(kind == "activate" for _, kind, _, _ in rep.policy_events) == 5
+        path = tmp_path / "failure.json"
+        write_failure_json(inst, rep, path)
+        rows = [
+            [1, "arrive", 1, 0], [1, "arrive", 2, 0], [1, "activate", 1, 3], [1, "activate", 2, 5],
+            [1, "decode_step", 1, 5], [1, "decode_step", 2, 5],
+            [2, "arrive", 3, 5], [2, "activate", 3, 10],
+            [2, "decode_step", 1, 10], [2, "decode_step", 2, 10], [2, "decode_step", 3, 10],
+            [3, "arrive", 4, 10], [3, "activate", 4, 17], [3, "overflow", -1, 17], [3, "evict", 4, 13],
+            [3, "decode_step", 1, 13], [3, "decode_step", 2, 13], [3, "decode_step", 3, 13],
+            [3, "complete", 1, 8], [3, "complete", 3, 4],
+            [4, "activate", 4, 9], [4, "decode_step", 2, 9], [4, "decode_step", 4, 9], [4, "complete", 2, 4],
+            [5, "decode_step", 4, 5], [5, "complete", 4, 0],
+        ]
+        assert json.loads(path.read_text())["report"]["policy_events"] == rows
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "bf02e208e06a9cbb1187aa06e510e112754a6597eb80fbe5e3a9f20f1e1afcfa"
 
     def test_oracle_vs_oracle_equality(self):
         inst = OfflineInstance.build([(2, 2, 1), (1, 1, 2)], 8, 6, "avg_latency")

@@ -4,7 +4,9 @@ references, on random small workloads run through engine.run.
 Each reference is the policy's rule written out literally over
 core.peak_projection, recomputed from the view every slot; the checked
 policies compare their own decision with it before handing it to the
-engine. Examples are derandomized, so the module is deterministic.
+engine. The admission ledger (AdmissionPlanner) is checked the same way
+on its own, through random bookings, evictions and completions. Examples
+are derandomized, so the module is deterministic.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from kvflow.core import Request, peak_projection
 from kvflow.engine import run as engine_run
 from kvflow.policies import (
     AdaptivePrediction,
+    AdmissionPlanner,
     MemoryConstrained,
     ShortestFirstMemoryConstrained,
     make_policy,
@@ -203,3 +206,90 @@ def test_every_policy_stays_within_budget(workload):
         result = engine_run(slots, make_policy(name, params), kv)
         assert result.max_usage <= kv, name
         assert result.completed_count + result.final_waiting + result.final_active == arrivals, name
+
+
+@st.composite
+def ledger_scripts(draw):
+    """A kv budget and up to 24 slots of ledger changes: each slot books
+    some requests, some (l, x) queries, some evictions and some
+    completions, drawn as fractions of what is live so they stay valid."""
+    kv_capacity = draw(st.integers(10, 120))
+    slots = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "book": st.lists(
+                        st.tuples(st.integers(1, 9), st.integers(1, 12), st.booleans(), st.integers(1, 3)),
+                        max_size=3,
+                    ),
+                    "ask": st.lists(st.tuples(st.integers(1, 9), st.integers(1, 16), st.integers(1, 6)), max_size=3),
+                    "evict": st.lists(st.floats(0, 1, exclude_max=True), max_size=2),
+                    "finish": st.lists(st.floats(0, 1, exclude_max=True), max_size=2),
+                }
+            ),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    return kv_capacity, slots, draw(st.booleans())
+
+
+def check_ledger(planner, booked, clock, asks, finishing=()):
+    """feasible, max_admissible and projection against core.peak_projection
+    over the booked requests: an exact one holds its length, one that is
+    not exact counts as at least one token past what it generated, and one
+    finishing in this slot (finishing) counts in it alone."""
+    kv = planner.kv_capacity
+    entries = []
+    for rid, (l, s, x, exact) in booked.items():
+        g = clock - s
+        entries.append((l, g, g + 1 if rid in finishing else x if exact else max(x, g + 1)))
+    if asks:  # a query builds the dense vector, so none is made without one
+        assert planner.projection(16) == peak_projection(entries, 16)
+    for l, x, limit in asks:
+        assert planner.feasible(l, x) == fits(entries, l, x, kv), (l, x)
+        copies = 0
+        while copies < limit and fits(entries + [(l, 0, x)] * copies, l, x, kv):
+            copies += 1
+        assert planner.max_admissible(l, x, limit) == copies, (l, x, limit)
+
+
+@settings(PROPERTY, max_examples=150)
+@given(ledger_scripts())
+def test_ledger_matches_projection_reference(script):
+    kv_capacity, slots, grouped = script
+    planner = AdmissionPlanner(kv_capacity=kv_capacity)
+    if grouped:
+        list(planner.iter_by_assumed_len())  # from here on, bookings are grouped by length
+    booked = {}  # id -> (prompt_len, booking slot, assumed_len, exact)
+    next_id = 1
+    for clock, slot in enumerate(slots, start=1):
+        planner.advance(clock)
+        asks = slot["ask"]
+        check_ledger(planner, booked, clock, asks)
+        for l, x, exact, count in slot["book"]:
+            ids = list(range(next_id, next_id + count))
+            next_id += count
+            planner.admit_many(count, l, x, ids, exact=exact)
+            booked.update(dict.fromkeys(ids, (l, clock, x, exact)))
+            check_ledger(planner, booked, clock, asks)
+        assert planner.take_booked() == [rid for rid, (_, s, _, _) in booked.items() if s == clock]
+        live = list(booked)
+        victims = sorted({live[int(f * len(live))] for f in slot["evict"]} if live else ())
+        if victims:
+            planner.remove(*victims)
+            for rid in victims:
+                del booked[rid]
+            check_ledger(planner, booked, clock, asks)
+        # exact requests finish on schedule; the others wherever drawn
+        due = [rid for rid, (_, s, x, exact) in booked.items() if exact and s + x - 1 == clock]
+        live = [rid for rid, entry in booked.items() if not entry[3]]
+        due += sorted({live[int(f * len(live))] for f in slot["finish"]} if live else ())
+        planner.complete(*due)
+        check_ledger(planner, booked, clock, asks, finishing=set(due))
+        for rid in due:
+            del booked[rid]
+    if grouped:
+        # eviction order: shortest assumed length first, latest booking first
+        want = sorted(booked, key=lambda rid: (booked[rid][2], -rid))
+        assert [rid for _, rid in planner.iter_by_assumed_len()] == want
