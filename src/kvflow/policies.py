@@ -255,7 +255,8 @@ class AdmissionPlanner:
     vector in place; one that reaches deeper drops the vector until the
     next query. A request that finishes at the end of the slot (complete)
     still counts in that slot, so a finish on schedule changes nothing but
-    the registry.
+    the registry, and an early finish comes out of depths 2 and deeper in
+    place.
 
     In a run the engine owns the one planner, the ledger of the active set
     (see PolicyView.ledger): policies query it and book the candidates they
@@ -410,7 +411,12 @@ class AdmissionPlanner:
                 # off schedule: keep only its footprint in this slot
                 if not overdue:
                     self._add_bin(rem_abs, -mass_abs, -1)
-                    self._vec = None  # depths 2 and deeper changed: densify at the next query
+                    vec = self._vec
+                    if vec is not None:
+                        # in place: it held mass_abs + t + d at depths 2..rem_abs - t
+                        deep = min(rem_abs - t, len(vec))
+                        vec[1:deep] = map(sub, vec[1:deep], range(mass_abs + t + 2, mass_abs + t + deep + 1))
+                        self._front = None
                 self._add_bin(t + 1, mass_abs, 1)
 
     def tracked(self, rid: int) -> bool:

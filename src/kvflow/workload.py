@@ -12,10 +12,10 @@ from __future__ import annotations
 import gc
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,14 +69,20 @@ def _poisson_inversion(rate: float, size: int, rng: np.random.Generator) -> np.n
     return counts
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One (prompt length, output length) pair taken from a trace file."""
+class TraceRecord(NamedTuple):
+    """One (prompt length, output length) pair taken from a trace file.
+
+    An immutable named tuple: a trace holds thousands of them, and a tuple
+    is built in about a third of the time a frozen dataclass takes.
+    """
 
     prompt_len: int
     decode_len: int
     source_id: Optional[Union[int, str]] = None
     line_no: Optional[int] = None
+
+
+_new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -238,31 +244,26 @@ def _generate_trace(spec: WorkloadSpec, rng: np.random.Generator) -> ArrivalStre
     records = spec.records
     slots: List[List[Request]] = []
     next_id = 1
-    cursor = 0
     exhausted_slot: Optional[int] = None
     known = spec.outputs_known
-    for t in range(1, horizon + 1):
-        want = int(counts[t - 1])
-        slot: List[Request] = []
-        for _ in range(want):
-            if cursor >= len(records):
-                if exhausted_slot is None:
-                    exhausted_slot = t
-                break
-            rec = records[cursor]
-            cursor += 1
-            slot.append(
-                Request(
-                    id=next_id,
-                    prompt_len=rec.prompt_len,
-                    decode_len=rec.decode_len,
-                    arrival_slot=t,
-                    class_id=None,
-                    output_known=known,
-                )
+    # as in _generate_synthetic: nothing built here forms a cycle
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for t, want in enumerate(counts.tolist(), start=1):
+            taken = records[next_id - 1 : next_id - 1 + want]
+            if len(taken) < want and exhausted_slot is None:
+                exhausted_slot = t
+            slots.append(
+                [
+                    Request(rid, prompt_len, decode_len, t, None, known)
+                    for rid, (prompt_len, decode_len, _, _) in enumerate(taken, start=next_id)
+                ]
             )
-            next_id += 1
-        slots.append(slot)
+            next_id += len(taken)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return ArrivalStream(
         slots=slots,
         horizon=horizon,
@@ -293,9 +294,17 @@ def ingest_trace(path: Union[str, Path], fmt: str = "jsonl") -> IngestResult:
     lengths are taken as whitespace word counts. Malformed lines are
     skipped and reported with their line number; zero-length records are
     dropped and counted. An unreadable file raises OSError.
+
+    Each stripped nonblank line is decoded on its own, and accepted exactly
+    when json.loads accepts it: the C scanner reads the line in one call,
+    and a value that does not end at the end of the line goes to json.loads,
+    which gives the reason text. (Decoding the joined file instead could
+    credit values to the wrong lines.)
     """
     if fmt not in ("jsonl", "raw_pairs"):
         raise ValueError(f"unknown trace format {fmt!r}")
+    parse = _parse_token_counts if fmt == "jsonl" else _parse_raw_pair
+    scan = json.JSONDecoder().scan_once
     records: List[TraceRecord] = []
     malformed: List[Tuple[int, str]] = []
     dropped_zero = 0
@@ -307,17 +316,19 @@ def ingest_trace(path: Union[str, Path], fmt: str = "jsonl") -> IngestResult:
                 continue
             total += 1
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                malformed.append((line_no, f"invalid json: {exc.msg}"))
-                continue
+                obj, end = scan(line, 0)
+            except (json.JSONDecodeError, StopIteration):
+                end = -1
+            if end != len(line):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    malformed.append((line_no, f"invalid json: {exc.msg}"))
+                    continue
             if not isinstance(obj, dict):
                 malformed.append((line_no, "not an object"))
                 continue
-            if fmt == "jsonl":
-                parsed = _parse_token_counts(obj)
-            else:
-                parsed = _parse_raw_pair(obj)
+            parsed = parse(obj)
             if isinstance(parsed, str):
                 malformed.append((line_no, parsed))
                 continue
@@ -325,14 +336,9 @@ def ingest_trace(path: Union[str, Path], fmt: str = "jsonl") -> IngestResult:
             if prompt_len <= 0 or decode_len <= 0:
                 dropped_zero += 1
                 continue
-            records.append(
-                TraceRecord(
-                    prompt_len=prompt_len,
-                    decode_len=decode_len,
-                    source_id=source_id,
-                    line_no=line_no,
-                )
-            )
+            # tuple.__new__ skips the generated TraceRecord.__new__, which
+            # costs as much again as the tuple itself
+            records.append(_new_tuple(TraceRecord, (prompt_len, decode_len, source_id, line_no)))
     return IngestResult(
         records=records, total_lines=total, malformed=malformed, dropped_zero=dropped_zero
     )

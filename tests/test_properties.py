@@ -1,15 +1,18 @@
-"""Property tests: the projection-based policies against brute-force
+"""Property tests: the deterministic policies against brute-force
 references, on random small workloads run through engine.run.
 
-Each reference is the policy's rule written out literally over
-core.peak_projection, recomputed from the view every slot; the checked
-policies compare their own decision with it before handing it to the
-engine. The admission ledger (AdmissionPlanner) is checked the same way
+Each reference is the policy's rule written out literally (over
+core.peak_projection for the projection-based ones), recomputed from the
+view every slot; the checked policies compare their own decision with it
+before handing it to the engine, and flow_scalar's is checked after the
+run against the budgets it drew. The admission ledger (AdmissionPlanner) is checked the same way
 on its own, through random bookings, evictions and completions. Examples
 are derandomized, so the module is deterministic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,8 @@ from kvflow.policies import (
     AdaptivePrediction,
     AdmissionPlanner,
     MemoryConstrained,
+    PerClassFlowControl,
+    ScalarFlowControl,
     ShortestFirstMemoryConstrained,
     make_policy,
 )
@@ -188,6 +193,60 @@ def test_amin_matches_reference(workload, min_output):
     engine_run(slots, CheckedAmin(min_output=min_output), kv)
 
 
+def waiting_in_order(view):
+    """The waiting requests in (arrival slot, id) order."""
+    return sorted(view.iter_waiting(), key=lambda w: (w.arrival_slot, w.id))
+
+
+class CheckedPerClass(PerClassFlowControl):
+    """flow_per_class, checked every slot against the first b_k waiting
+    requests of each class k in (arrival slot, id) order, class by class."""
+
+    def decide(self, view):
+        waiting = waiting_in_order(view)
+        expected = []
+        for k, budget in enumerate(self.budgets):
+            expected += [w.id for w in waiting if w.class_id == k][:budget]
+        decision = super().decide(view)
+        assert decision.to_activate == expected, view.clock
+        return decision
+
+
+class RecordedScalar(ScalarFlowControl):
+    """flow_scalar, keeping each slot's waiting ids in (arrival slot, id)
+    order and its activations, to be checked against RunResult.budgets."""
+
+    def reset(self, seed_seq=None):
+        super().reset(seed_seq)
+        self.slots = []  # (waiting ids in order, activated ids), one per slot
+
+    def decide(self, view):
+        waiting = [w.id for w in waiting_in_order(view)]
+        decision = super().decide(view)
+        self.slots.append((waiting, decision.to_activate))
+        return decision
+
+
+@PROPERTY
+@given(workloads(), st.lists(st.integers(0, 3), min_size=3, max_size=3))
+def test_flow_per_class_matches_reference(workload, budgets):
+    slots, kv = workload
+    engine_run(slots, CheckedPerClass(budgets), kv)
+
+
+@PROPERTY
+@given(workloads(), st.fractions(min_value=Fraction(1, 4), max_value=4, max_denominator=4))
+def test_flow_scalar_matches_reference(workload, budget):
+    slots, kv = workload
+    policy = RecordedScalar(budget)
+    result = engine_run(slots, policy, kv, seed=7)
+    budgets = result.budgets.tolist()
+    assert len(policy.slots) == len(budgets) == len(slots)
+    for t, ((waiting, activated), b_t) in enumerate(zip(policy.slots, budgets), start=1):
+        assert b_t in (int(budget), -(-budget.numerator // budget.denominator)), t
+        assert activated == waiting[:b_t], t
+
+
 POLICIES = (
     ("flow_per_class", {"budgets": [1, 2, 1]}),
     ("flow_scalar", {"budget": "3/2"}),
@@ -212,14 +271,18 @@ def test_every_policy_stays_within_budget(workload):
 def ledger_scripts(draw):
     """A kv budget and up to 24 slots of ledger changes: each slot books
     some requests, some (l, x) queries, some evictions and some
-    completions, drawn as fractions of what is live so they stay valid."""
+    completions, drawn as fractions of what is live so they stay valid.
+
+    Queries reach depth 16 at most, so the dense vector stays 16 deep, and
+    bookings reach past it (up to 30): an early completion of one of those
+    changes depths the vector does not hold."""
     kv_capacity = draw(st.integers(10, 120))
     slots = draw(
         st.lists(
             st.fixed_dictionaries(
                 {
                     "book": st.lists(
-                        st.tuples(st.integers(1, 9), st.integers(1, 12), st.booleans(), st.integers(1, 3)),
+                        st.tuples(st.integers(1, 9), st.integers(1, 30), st.booleans(), st.integers(1, 3)),
                         max_size=3,
                     ),
                     "ask": st.lists(st.tuples(st.integers(1, 9), st.integers(1, 16), st.integers(1, 6)), max_size=3),

@@ -8,7 +8,10 @@ overflow row when the projection exceeds the budget before the first
 eviction, evictions, one decode row per active request in activation order
 (a re-activated request goes last), and completions at activation +
 decode_len - 1. It keeps its own active list and sums usage from scratch
-for each row, with no calendar and no running counter.
+for each row, with no calendar and no running counter. It also checks
+that every eviction was needed: before a slot's last eviction the usage
+is still over the budget (except under alpha_protection, which evicts the
+whole active set by design).
 """
 
 from collections import defaultdict
@@ -33,9 +36,10 @@ POLICIES = [
 KV = 1500
 
 
-def replay(result, lengths):
+def replay(result, lengths, minimal=True):
     """Rebuild every slot's rows from the log's decisions and compare them
-    with the log; return the number of evictions replayed."""
+    with the log; return the number of evictions replayed. minimal also
+    requires that no slot evicts more than it needs to."""
     by_slot = defaultdict(list)
     for row in event_rows(result.events):
         by_slot[row[0]].append(row)
@@ -59,8 +63,11 @@ def replay(result, lengths):
         else:
             assert not evicted, f"slot {t} evicts within budget"
         for rid in evicted:
+            before = held()
             del active[rid]
             expected.append((t, "evict", rid, held()))
+        if evicted and minimal:
+            assert before > kv, f"slot {t}: its last eviction was not needed"
         evictions += len(evicted)
         usage = held()
         assert usage <= kv and usage == result.usage[t - 1], t
@@ -96,6 +103,6 @@ def test_log_replays_under_slot_rules(make_spec):
         if policy.applicable(spec) is not None:
             continue  # flow_per_class needs classes, mc_sf visible outputs
         r = run(arrivals, policy, kv_capacity=KV, seed=1, record_events=True)
-        assert replay(r, lengths) == r.eviction_count, name
+        assert replay(r, lengths, minimal=name != "alpha_protection") == r.eviction_count, name
         evictions += r.eviction_count
     assert evictions > 0, "the stream was meant to overflow under some policy"

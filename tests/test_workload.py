@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from kvflow import workload
-from kvflow.core import RequestClass, workload_tokens
+from kvflow.core import Request, RequestClass, workload_tokens
+from kvflow.presets import builtin_trace_path
 from kvflow.workload import (
     LengthDistribution,
     TraceRecord,
@@ -134,9 +135,22 @@ class TestPoissonCounts:
         assert abs(counts.var() - rate) < 5 * rate * math.sqrt(2 / self.SIZE)
 
 
+def synthetic_spec():
+    classes = [RequestClass(c.prompt_len, c.decode_len, c.rate) for c in THREE_CLASSES]
+    return WorkloadSpec.synthetic(classes, horizon=200, seed=1)
+
+
+def trace_spec():
+    records = [TraceRecord(10 + i % 7, 5 + i % 3) for i in range(600)]
+    return WorkloadSpec.from_trace(records, rate=2, horizon=200, seed=1)
+
+
 class TestGarbageCollectorState:
     """generate_arrivals pauses the cyclic collector while it builds the
-    stream and must hand it back exactly as it found it."""
+    stream and must hand it back exactly as it found it. make_spec gives
+    the workload; the subclass below runs every test on a trace."""
+
+    make_spec = staticmethod(synthetic_spec)
 
     @pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
     def gc_state(self, request):
@@ -151,28 +165,46 @@ class TestGarbageCollectorState:
         else:
             gc.disable()
 
-    def test_generation_leaves_gc_as_found(self, gc_state):
-        stream = generate_arrivals(WorkloadSpec.synthetic(THREE_CLASSES, horizon=200, seed=1))
+    @pytest.fixture
+    def spec(self):
+        return self.make_spec()
+
+    def test_generation_leaves_gc_as_found(self, gc_state, spec):
+        stream = generate_arrivals(spec)
         assert stream.total > 0
         assert gc.isenabled() is gc_state
 
-    def test_negative_rate_leaves_gc_as_found(self, gc_state):
-        broken = RequestClass(10, 20, 1)
-        object.__setattr__(broken, "rate", -1)  # past the constructor's own check
-        spec = WorkloadSpec.synthetic([THREE_CLASSES[0], broken], horizon=50, seed=1)
+    def test_collector_paused_while_building_requests(self, gc_state, spec, monkeypatch):
+        seen = set()
+
+        def watched_request(*args, **kwargs):
+            seen.add(gc.isenabled())
+            return Request(*args, **kwargs)
+
+        monkeypatch.setattr(workload, "Request", watched_request)
+        assert generate_arrivals(spec).total > 0
+        assert seen == {False}
+        assert gc.isenabled() is gc_state
+
+    def test_negative_rate_leaves_gc_as_found(self, gc_state, spec):
+        # past the constructors' own checks
+        object.__setattr__(spec.classes[-1] if spec.kind == "synthetic" else spec, "rate", -1)
         with pytest.raises(ValueError, match="nonnegative"):
             generate_arrivals(spec)
         assert gc.isenabled() is gc_state
 
-    def test_failure_while_building_requests_leaves_gc_as_found(self, gc_state, monkeypatch):
+    def test_failure_while_building_requests_leaves_gc_as_found(self, gc_state, spec, monkeypatch):
         def failing_request(*args, **kwargs):
             raise RuntimeError("request construction failed")
 
         monkeypatch.setattr(workload, "Request", failing_request)
-        spec = WorkloadSpec.synthetic(THREE_CLASSES, horizon=50, seed=1)
         with pytest.raises(RuntimeError, match="construction failed"):
             generate_arrivals(spec)
         assert gc.isenabled() is gc_state
+
+
+class TestGarbageCollectorStateTrace(TestGarbageCollectorState):
+    make_spec = staticmethod(trace_spec)
 
 
 class TestTraceArrivals:
@@ -192,6 +224,30 @@ class TestTraceArrivals:
         assert stream.exhausted_slot is not None
         for slot in stream.slots[stream.exhausted_slot :]:
             assert slot == []
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 19, 20, 51, 400])
+    def test_matches_record_by_record_reference(self, n):
+        # one record per request in file order; the first slot that wants a
+        # record when none is left is the exhausted slot
+        spec = WorkloadSpec.from_trace(self.records(n), rate=2.0, horizon=30, seed=8)
+        stream = generate_arrivals(spec)
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([8, workload.ARRIVAL_STREAM_TAG])))
+        counts = workload.poisson_counts(2.0, 30, rng)
+        left = list(spec.records)
+        expected, exhausted = [], None
+        for t, want in enumerate(counts.tolist(), start=1):
+            slot = []
+            for _ in range(want):
+                if not left:
+                    exhausted = exhausted or t
+                    break
+                rec = left.pop(0)
+                rid = sum(map(len, expected)) + len(slot) + 1
+                slot.append(Request(rid, rec.prompt_len, rec.decode_len, t, None, False))
+            expected.append(slot)
+        assert stream.slots == expected
+        assert stream.exhausted_slot == exhausted
+        assert stream.total == min(n, int(counts.sum()))
 
     def test_no_exhaustion_when_trace_suffices(self):
         spec = WorkloadSpec.from_trace(self.records(500), rate=1.0, horizon=50, seed=6)
@@ -257,6 +313,174 @@ class TestIngest:
         p = self.write(tmp_path, ["{}"])
         with pytest.raises(ValueError):
             ingest_trace(p, "csv")
+
+
+def reference_ingest(path, fmt="jsonl"):
+    """ingest_trace written with json.loads on every stripped nonblank
+    line: the definition of which lines it accepts and why it rejects the
+    others."""
+    if fmt not in ("jsonl", "raw_pairs"):
+        raise ValueError(f"unknown trace format {fmt!r}")
+    records, malformed = [], []
+    dropped_zero = total = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            total += 1
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                malformed.append((line_no, f"invalid json: {exc.msg}"))
+                continue
+            if not isinstance(obj, dict):
+                malformed.append((line_no, "not an object"))
+                continue
+            if fmt == "jsonl":
+                parsed = workload._parse_token_counts(obj)
+            else:
+                parsed = workload._parse_raw_pair(obj)
+            if isinstance(parsed, str):
+                malformed.append((line_no, parsed))
+                continue
+            prompt_len, decode_len, source_id = parsed
+            if prompt_len <= 0 or decode_len <= 0:
+                dropped_zero += 1
+                continue
+            records.append(
+                TraceRecord(prompt_len=prompt_len, decode_len=decode_len, source_id=source_id, line_no=line_no)
+            )
+    return workload.IngestResult(records, total, malformed, dropped_zero)
+
+
+def trace_line(prompt, output, **extra):
+    return json.dumps({"prompt_tokens": prompt, "output_tokens": output, **extra})
+
+
+GOOD = trace_line(3, 4)
+# file contents as bytes, so line ends and a BOM reach the reader unchanged
+INGEST_CASES = {
+    "blank-and-whitespace": ("\n   \n\t\n" + GOOD + "\n \x0c \n\n" + trace_line(5, 6) + "   \n  \n").encode(),
+    "crlf": (GOOD + "\r\n\r\n" + trace_line(5, 6) + "\r\n").encode(),
+    "lone-cr": (GOOD + "\r" + trace_line(5, 6) + "\r\r" + "{broken\r").encode(),
+    "bom": b"\xef\xbb\xbf" + (GOOD + "\n" + trace_line(5, 6) + "\n").encode(),
+    "nan-and-infinity": "\n".join(
+        [
+            '{"prompt_tokens": NaN, "output_tokens": 2}',
+            '{"prompt_tokens": 3, "output_tokens": Infinity}',
+            '{"prompt_tokens": -Infinity, "output_tokens": 2}',
+            '{"prompt_tokens": 3, "output_tokens": 4, "id": Infinity}',
+            "NaN",
+        ]
+    ).encode(),
+    "two-objects-and-garbage": "\n".join(
+        [
+            GOOD + GOOD,
+            GOOD + " " + GOOD,
+            GOOD + " x",
+            GOOD + ",",
+            GOOD + "]",
+            "x" + GOOD,
+            "{not valid json",
+            "{'prompt_tokens': 3}",
+            '{"prompt_tokens": 3, "output_tokens": 4,}',
+            "]",
+            GOOD,
+        ]
+    ).encode(),
+    "value-over-two-lines": "\n".join(
+        [
+            '{"prompt_tokens": 3,',
+            '"output_tokens": 4}',
+            '{"k": [[1',
+            '2]]}',
+            '{"a":1}],[{"b":2}',
+            GOOD,
+        ]
+    ).encode(),
+    "not-an-object": "\n".join(["[1, 2]", "[" + GOOD + "]", "42", '"text"', "null", "true", "{}"]).encode(),
+    "counts-and-ids": "\n".join(
+        [
+            trace_line(True, 4),
+            trace_line(3, False),
+            trace_line(3.0, 4),
+            trace_line(3, 4.5),
+            trace_line(-1, 4),
+            trace_line(3, -4),
+            trace_line(0, 4),
+            trace_line(3, 0),
+            trace_line(0, 0),
+            json.dumps({"prompt_tokens": 3}),
+            json.dumps({"output_tokens": 4}),
+            trace_line("3", 4),
+            trace_line(None, 4),
+            trace_line(3, 4, id="r1"),
+            trace_line(3, 4, id=None),
+            trace_line(3, 4, id=17),
+            trace_line(3, 4, id=[1, 2]),
+            trace_line(10**30, 4),
+        ]
+    ).encode(),
+}
+
+
+class TestIngestMatchesJsonLoads:
+    """ingest_trace decodes each line with the JSON scanner and must agree
+    with json.loads on every line, reason texts included."""
+
+    def write(self, tmp_path, data):
+        p = tmp_path / "trace.jsonl"
+        p.write_bytes(data)
+        return p
+
+    @pytest.mark.parametrize("case", sorted(INGEST_CASES))
+    def test_jsonl_cases(self, tmp_path, case):
+        p = self.write(tmp_path, INGEST_CASES[case])
+        got = ingest_trace(p, "jsonl")
+        want = reference_ingest(p, "jsonl")
+        assert got == want
+        assert got.total_lines > 0
+
+    def test_raw_pairs(self, tmp_path):
+        lines = [
+            json.dumps({"prompt": "how are you today", "response": "fine thanks", "id": "a"}),
+            json.dumps({"prompt": "hello", "response": ""}),
+            json.dumps({"prompt": "  spaced   out  ", "response": "x\ty\nz"}),
+            json.dumps({"prompt": 3, "response": "x"}),
+            json.dumps({"prompt": "x"}),
+            json.dumps(["prompt", "response"]),
+            json.dumps({"prompt": "a b", "response": "c"}) + " trailing",
+            "",
+            json.dumps({"prompt": "a b", "response": "c d e", "id": None}),
+        ]
+        p = self.write(tmp_path, ("\r\n".join(lines) + "\r\n").encode())
+        got = ingest_trace(p, "raw_pairs")
+        assert got == reference_ingest(p, "raw_pairs")
+        assert [(r.prompt_len, r.decode_len) for r in got.records] == [(4, 2), (2, 3), (2, 3)]
+
+    def test_bundled_trace(self):
+        path = builtin_trace_path("trace_1k")
+        got = ingest_trace(path)
+        assert got == reference_ingest(path)
+        assert len(got.records) == 1000
+
+    def test_overlong_count_raises_like_json_loads(self, tmp_path):
+        p = self.write(tmp_path, (GOOD + "\n" + '{"prompt_tokens": ' + "9" * 4301 + ', "output_tokens": 1}\n').encode())
+        with pytest.raises(ValueError) as want:
+            reference_ingest(p)
+        with pytest.raises(ValueError) as got:
+            ingest_trace(p)
+        assert type(got.value) is type(want.value) is ValueError
+        assert str(got.value) == str(want.value)
+
+    def test_records_are_immutable_named_tuples(self, tmp_path):
+        rec = ingest_trace(self.write(tmp_path, (trace_line(3, 4, id="r") + "\n").encode())).records[0]
+        assert rec == TraceRecord(3, 4, "r", 1) == (3, 4, "r", 1)
+        assert rec._fields == ("prompt_len", "decode_len", "source_id", "line_no")
+        assert TraceRecord(3, 4) == (3, 4, None, None)
+        with pytest.raises(AttributeError):
+            rec.prompt_len = 5
 
 
 class TestSummaryAndDistribution:
