@@ -253,7 +253,7 @@ def _build_report(
     horizon: int,
     kv_capacity: int,
     arrivals: int,
-    latencies: Sequence[int],
+    latencies: List[int],
     retained_tokens: int,
     wasted_tokens: int,
     overflow_events: int,
@@ -263,7 +263,7 @@ def _build_report(
 ) -> MetricsReport:
     n = len(latencies)
     if n:
-        ordered = sorted(int(x) for x in latencies)
+        ordered = sorted(latencies)  # Python ints from both callers
         latency_sum = sum(ordered)
         p95 = ordered[nearest_rank(n) - 1]
     else:

@@ -23,7 +23,6 @@ engine keeps it in step with evictions, completions and the clock.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -213,22 +212,15 @@ class BudgetSpec:
         return cls(scalar=b, cap=int(cap) if cap is not None else -(-b.numerator // b.denominator))
 
 
-def _prefix_max(values: List[int]) -> List[int]:
-    """Running maximum of a nonempty list (five times faster than
-    accumulate(values, max), which calls the max builtin per element)."""
-    run = values[0]
-    return [run := v if v > run else run for v in values]
-
-
 # Planner-side record of a booked request: identical candidates booked
 # together share one record, since nothing in it is per request.
-_PlannedEntry = namedtuple("_PlannedEntry", ["mass_abs", "rem_abs", "assumed_len"])
+_PlannedEntry = namedtuple("_PlannedEntry", ["mass_abs", "rem_abs", "assumed_len", "exact"])
 
 
 class AdmissionPlanner:
     """Incremental feasibility oracle for projection-based admission.
 
-    Maintains base(d), the projected end-of-slot usage d slots ahead of
+    Tracks base(d), the projected end-of-slot usage d slots ahead of
     the current slot for the active set plus tentatively admitted
     candidates, and the running maximum F(x) = max_{d<=x} (base(d) + d).
     A candidate with prompt length l and assumed output length o would
@@ -238,25 +230,38 @@ class AdmissionPlanner:
 
     Bookkeeping is in absolute coordinates: an entry admitted at slot s
     with assumed length x is a point mass at rem_abs = s + x with
-    mass_abs = l - s, so both aging (every generated count up by one per
-    slot) and scheduled expiry are free as the clock advances. Entries are
-    binned by rem_abs, and per slot the trajectory base(d) + d over
-    d = 1..D is densified once into a vector so a feasibility check is one
-    lookup and an admission is one vectorized range add. An entry whose
-    assumed window ran out while it is still resident (an optimistic
-    assumption outgrown by reality) moves to an "overdue" aggregate that
-    counts as finishing one slot ahead, matching a rolling
-    max(assumed, generated + 1) estimate.
+    mass_abs = l - s, so aging (every generated count up by one per slot)
+    is free as the clock advances. Per booking the planner keeps one
+    registry record (mass_abs, rem_abs, assumed length, exact) and adds it
+    to a bin keyed by rem_abs; bins of bookings that are not exact also
+    keep what of them is still registered. When the clock reaches a bin,
+    the bin falls off and that remainder turns "overdue": an assumed
+    window outgrown by reality, counting as finishing one slot ahead
+    (depth 1 only), which matches a rolling max(assumed, generated + 1)
+    estimate.
 
-    Moving the clock by one slot does not rebuild the dense vector: base(d)
-    one slot later is base(d + 1) now, so the vector shifts down by one
-    place and only its deepest value is computed afresh. An evicted request
+    Most queries are answered from two numbers. Depth 1 is exact: base(1)
+    is the running total of every bin and the overdue mass. Deeper depths
+    have an upper bound B with base(d) + d <= max(B, d) for every d >= 2:
+    a booking raises B by the most it adds at any depth, an advance
+    lowers it by one per slot, and a slot's first read of the dense vector
+    resets it to the vector's maximum past depth 1. Evictions and
+    completions never raise base(d), so they leave B as it is.
+    feasible says yes when max(B, x) + l fits; max_admissible returns
+    depth 1's count when B shows that no deeper depth allows fewer.
+
+    A query the two numbers cannot prove, and projection, take the exact
+    path: the dense vector _vec[d - 1] = base(d) + d, down to the deepest
+    bin, so a check is one lookup and an admission one range add. It is
+    built from the bins only when a query needs it and none is kept. A
+    one-slot advance keeps it by shifting it down one place (base(d) one
+    slot later is base(d + 1) now); an admission in a slot where no query
+    has read it yet drops it instead of updating it. An evicted request
     (remove) whose footprint is left at depth 1 alone comes out of the
-    vector in place; one that reaches deeper drops the vector until the
-    next query. A request that finishes at the end of the slot (complete)
-    still counts in that slot, so a finish on schedule changes nothing but
-    the registry, and an early finish comes out of depths 2 and deeper in
-    place.
+    vector in place; one that reaches deeper drops it. A request that
+    finishes at the end of the slot (complete) still counts in that slot,
+    so a finish on schedule changes nothing but the registry, and an early
+    finish comes out of depths 2 and deeper.
 
     In a run the engine owns the one planner, the ledger of the active set
     (see PolicyView.ledger): policies query it and book the candidates they
@@ -274,98 +279,91 @@ class AdmissionPlanner:
     ) -> None:
         self.kv_capacity = kv_capacity
         self._clock = clock
-        # aligned, sorted by rem_abs
-        self._keys: List[int] = []
-        self._bmass: List[int] = []
-        self._bcnt: List[int] = []
+        # rem_abs (past the clock) -> [mass_abs, count, loose mass_abs,
+        # loose count]: the bookings ending there, and the part of them that
+        # is registered and not exact, which turns overdue when the clock
+        # gets there
+        self._bins: Dict[int, List[int]] = {}
+        # every booking counted at depth 1, the bins and the overdue ones
+        self._mass = 0
+        self._cnt = 0
+        self._bound = 0  # B: base(d) + d <= max(B, d) at every depth d >= 2
         self._reg: Dict[int, _PlannedEntry] = {}
         # assumed length -> ids in booking order, built by the first
         # iter_by_assumed_len and kept from then on
         self._by_len: Optional[Dict[int, Dict[int, None]]] = None
         self._booked: List[Optional[int]] = []  # since take_booked; None if anonymous
-        self._overdue: set = set()  # registered ids past their assumed window
-        self._expiry: Dict[int, List[int]] = {}
-        self._ov_mass = 0
-        self._ov_cnt = 0
-        # dense per-slot cache: _vec[d-1] = base(d) + d, and _front its
-        # prefix max, built only when a feasibility query needs it
+        # dense per-slot cache: _vec[d-1] = base(d) + d down to the deepest
+        # bin, built only when a query needs it
         self._vec: Optional[List[int]] = None
-        self._front: Optional[List[int]] = None
+        self._used = False  # a query read _vec in the current slot
         self._maxx = 16  # deepest horizon requested so far; densify this far
         for l, g, o in entries:
             if o > g:
                 self.bootstrap(None, l, g, o)
 
-    def _add_bin(self, rem_abs: int, mass_abs: int, count: int) -> None:
-        keys = self._keys
-        j = bisect_left(keys, rem_abs)
-        if j < len(keys) and keys[j] == rem_abs:
-            self._bmass[j] += mass_abs
-            self._bcnt[j] += count
+    def _add_bin(self, rem_abs: int, mass_abs: int, count: int, loose: bool) -> None:
+        """Add count bookings, of mass_abs in all, to the bin at rem_abs;
+        loose says they are registered and not exact."""
+        b = self._bins.get(rem_abs)
+        if b is None:
+            self._bins[rem_abs] = [mass_abs, count, mass_abs, count] if loose else [mass_abs, count, 0, 0]
         else:
-            keys.insert(j, rem_abs)
-            self._bmass.insert(j, mass_abs)
-            self._bcnt.insert(j, count)
+            b[0] += mass_abs
+            b[1] += count
+            if loose:
+                b[2] += mass_abs
+                b[3] += count
 
-    def _book(self, ids: Sequence[int], entry: _PlannedEntry, exact: bool) -> None:
+    def _depth1(self) -> int:
+        """base(1) + 1, exact."""
+        return self._mass + self._cnt * (self._clock + 1) + 1
+
+    def _book(self, ids: Sequence[int], entry: _PlannedEntry) -> None:
         self._reg.update(dict.fromkeys(ids, entry))
         if self._by_len is not None:
             self._by_len.setdefault(entry.assumed_len, {}).update(dict.fromkeys(ids))
-        if not exact:
-            self._expiry.setdefault(entry.rem_abs, []).extend(ids)
 
     def advance(self, clock: int) -> None:
         """Move to a later slot.
 
-        Expired assumption windows migrate to the overdue aggregate; bins
-        entirely in the past fall off at the next densify or shift.
+        The bins the clock reaches fall off, and what is left in them of
+        bookings that are not exact turns overdue, all in one update.
         """
+        t = self._clock
+        if clock <= t:
+            return
         # a one-slot step reuses the dense vector: on the way only bins at
-        # the new clock change, and the overdue aggregate touches depth 1,
-        # which the shift computes afresh anyway
-        prev = self._vec if clock == self._clock + 1 else None
-        if clock > self._clock:
-            self._vec = None  # the dense depth grid is anchored at the clock
-        reg = self._reg
-        overdue = self._overdue
-        while self._clock < clock:
-            self._clock += 1
-            ids = self._expiry.pop(self._clock, None)
-            if ids:
-                t = self._clock
-                for rid in ids:
-                    e = reg.get(rid)
-                    if e is not None and e.rem_abs == t and rid not in overdue:
-                        overdue.add(rid)
-                        j = bisect_left(self._keys, t)
-                        self._bmass[j] -= e.mass_abs
-                        self._bcnt[j] -= 1
-                        self._ov_mass += e.mass_abs
-                        self._ov_cnt += 1
+        # the new clock change, and depth 1 is computed afresh anyway
+        prev = self._vec if clock == t + 1 else None
+        self._vec = None  # the dense depth grid is anchored at the clock
+        self._used = False
+        self._bound -= clock - t
+        self._clock = clock
+        bins = self._bins
+        for key in (clock,) if clock == t + 1 else [k for k in bins if k <= clock]:
+            b = bins.pop(key, None)
+            if b is not None:  # its loose part stays, overdue
+                self._mass -= b[0] - b[2]
+                self._cnt -= b[1] - b[3]
         if prev is not None:
             self._shift(prev)
 
     def _shift(self, prev: List[int]) -> None:
         """Re-anchor prev, the dense vector of the previous slot, at the clock.
 
-        prev[d] - 1 is base(d) + d here, for d < len(prev); the deepest
-        depth is summed from the bins and the overdue aggregate is put back
-        on depth 1 (prev[0], which carried the old one, drops out).
+        prev[d] - 1 is base(d) + d here, for d < len(prev). Every bin ended
+        within prev, so the deepest depth holds no booking, and depth 1 is
+        read from the running totals (prev[0], which carried the old one,
+        drops out).
         """
-        t = self._clock
-        keys = self._drop_past_bins()
-        n = len(prev)
         vec = [v - 1 for v in prev[1:]]
-        j = bisect_left(keys, t + n)
-        vec.append(sum(self._bmass[j:]) + (t + n) * sum(self._bcnt[j:]) + n)
-        if self._ov_cnt:
-            vec[0] += self._ov_mass + (t + 1) * self._ov_cnt
+        vec.append(len(prev))
+        vec[0] = self._depth1()
         self._vec = vec
-        self._front = None
 
-    def _forget(self, rid: int) -> Tuple[int, int, bool]:
-        """Drop a request from the registry and the overdue aggregate;
-        return its mass_abs and rem_abs, and whether it was overdue."""
+    def _forget(self, rid: int) -> _PlannedEntry:
+        """Drop a request from the registry and return its record."""
         e = self._reg.pop(rid, None)
         if e is None:
             raise KeyError(f"request {rid} is not tracked by the planner")
@@ -374,50 +372,63 @@ class AdmissionPlanner:
             del group[rid]
             if not group:
                 del self._by_len[e.assumed_len]
-        overdue = rid in self._overdue
-        if overdue:
-            self._overdue.discard(rid)
-            self._ov_mass -= e.mass_abs
-            self._ov_cnt -= 1
-        return e.mass_abs, e.rem_abs, overdue
+        return e
 
     def remove(self, *rids: int) -> None:
         """Forget requests evicted in the current slot: from now on they
         count at no depth."""
         t = self._clock
+        mass = cnt = 0
         for rid in rids:
-            mass_abs, rem_abs, overdue = self._forget(rid)
+            e = self._forget(rid)
+            rem_abs = e.rem_abs
             if rem_abs > t:
-                self._add_bin(rem_abs, -mass_abs, -1)
-            if rem_abs > t + 1:
-                self._vec = None  # it reached past depth 1: densify at the next query
-            elif (overdue or rem_abs > t) and self._vec is not None:
-                self._vec[0] -= mass_abs + t + 1  # all that was left of it, at depth 1
-                self._front = None
+                self._add_bin(rem_abs, -e.mass_abs, -1, not e.exact)
+                if rem_abs > t + 1:
+                    self._vec = None  # it reached past depth 1: densify at the next query
+            elif e.exact:
+                continue  # past its window, it already counts nowhere
+            mass += e.mass_abs
+            cnt += 1
+        self._mass -= mass
+        self._cnt -= cnt
+        if self._vec is not None:
+            self._vec[0] = self._depth1()
 
     def complete(self, *rids: int) -> None:
         """Forget requests that finish at the end of the current slot. They
         still count in it (depth 1); one that finishes before or after its
         assumed length frees the rest of that length."""
         t = self._clock
-        reg = self._reg
+        vec = self._vec
+        on_time_mass = on_time_cnt = 0  # not exact, finishing when assumed
+        kept_mass = kept_cnt = 0  # off schedule: kept at depth 1 alone
         for rid in rids:
-            e = reg.get(rid)
-            if e is not None and e.rem_abs == t + 1 and self._by_len is None:
-                del reg[rid]  # on schedule and ungrouped: it counts in this slot only, as booked
-                continue
-            mass_abs, rem_abs, overdue = self._forget(rid)
-            if rem_abs > t + 1 or overdue:
-                # off schedule: keep only its footprint in this slot
-                if not overdue:
-                    self._add_bin(rem_abs, -mass_abs, -1)
-                    vec = self._vec
-                    if vec is not None:
-                        # in place: it held mass_abs + t + d at depths 2..rem_abs - t
-                        deep = min(rem_abs - t, len(vec))
-                        vec[1:deep] = map(sub, vec[1:deep], range(mass_abs + t + 2, mass_abs + t + deep + 1))
-                        self._front = None
-                self._add_bin(t + 1, mass_abs, 1)
+            e = self._forget(rid)
+            rem_abs = e.rem_abs
+            if rem_abs == t + 1:
+                if not e.exact:
+                    on_time_mass += e.mass_abs
+                    on_time_cnt += 1
+                continue  # on schedule: it counts in this slot only, as booked
+            if rem_abs > t + 1:
+                mass_abs = e.mass_abs
+                self._add_bin(rem_abs, -mass_abs, -1, not e.exact)
+                if vec is not None:
+                    # in place: it held mass_abs + t + d at depths 2..rem_abs - t
+                    deep = rem_abs - t
+                    vec[1:deep] = map(sub, vec[1:deep], range(mass_abs + t + 2, mass_abs + t + deep + 1))
+            elif e.exact:
+                continue  # past its window, it already counts nowhere
+            kept_mass += e.mass_abs
+            kept_cnt += 1
+        if on_time_cnt:
+            # they count in this slot as booked, and must not turn overdue
+            b = self._bins[t + 1]
+            b[2] -= on_time_mass
+            b[3] -= on_time_cnt
+        if kept_cnt:
+            self._add_bin(t + 1, kept_mass, kept_cnt, False)
 
     def tracked(self, rid: int) -> bool:
         return rid in self._reg
@@ -446,66 +457,59 @@ class AdmissionPlanner:
         self._booked = []
         return booked
 
-    def _drop_past_bins(self) -> List[int]:
-        """Drop the bins at or before the clock (empty at every depth)."""
-        keys = self._keys
-        cut = bisect_right(keys, self._clock)
-        if cut:
-            del keys[:cut]
-            del self._bmass[:cut]
-            del self._bcnt[:cut]
-        return keys
-
     def _densify(self, upto: int) -> None:
         t = self._clock
-        keys = self._drop_past_bins()
         if upto > self._maxx:
             self._maxx = upto
-        depth = self._maxx
         # entries binned at rem >= t + d survive depth d, so between two bin
         # keys the survivors stay the same and base(d) + d grows by a fixed
-        # step (one per survivor plus the depth term): one range per segment
-        mass = sum(self._bmass)
-        cnt = sum(self._bcnt)
+        # step (one per survivor plus the depth term): one range per segment,
+        # down to the deepest bin (B is read from there, and a shift finds
+        # nothing past it), then on to the deepest depth asked for
+        bins = sorted(self._bins.items())
+        mass = sum(b[0] for _, b in bins)
+        cnt = sum(b[1] for _, b in bins)
         vec: List[int] = []
         d = 1
-        for key, m, c in zip(keys, self._bmass, self._bcnt):
-            last = min(key - t, depth)
+        for key, (m, c, _, _) in bins:
+            last = key - t
             vec.extend(range(mass + t * cnt + d * (cnt + 1), mass + t * cnt + (last + 1) * (cnt + 1), cnt + 1))
             d = last + 1
-            if d > depth:
-                break
             mass -= m
             cnt -= c
-        else:
-            vec.extend(range(d, depth + 1))
-        if self._ov_cnt:
-            vec[0] += self._ov_mass + (t + 1) * self._ov_cnt
+        vec.extend(range(d, self._maxx + 1))
+        vec[0] = self._depth1()
         self._vec = vec
-        self._front = None
 
-    def _ensure(self, upto: int) -> None:
-        if self._vec is None or len(self._vec) < upto:
+    def _dense(self, upto: int) -> List[int]:
+        """The dense vector at least upto deep, built from the bins unless
+        it is kept: the exact path of every query."""
+        vec = self._vec
+        if vec is None or len(vec) < upto:
             self._densify(upto)
-
-    def _front_at(self, x: int) -> int:
-        """Running max of base(d) + d over d <= x."""
-        front = self._front
-        if front is None:
-            front = self._front = _prefix_max(self._vec)
-        return front[x - 1]
+            vec = self._vec
+        elif self._used:
+            return vec
+        self._used = True
+        # past the deepest bin base(d) = 0, which any B bounds
+        deepest = max(self._bins, default=self._clock) - self._clock
+        self._bound = max(vec[1:deepest], default=0)
+        return vec
 
     def projection(self, horizon: int) -> List[int]:
         """base(1..horizon); matches kvflow.core.peak_projection exactly."""
-        self._ensure(horizon)
-        vec = self._vec
+        vec = self._dense(horizon)
         return [vec[d] - (d + 1) for d in range(horizon)]
 
     def feasible(self, prompt_len: int, assumed_len: int) -> bool:
         if assumed_len < 1:
             raise ValueError(f"assumed_len must be >= 1, got {assumed_len}")
-        self._ensure(assumed_len)
-        return self._front_at(assumed_len) + prompt_len <= self.kv_capacity
+        M = self.kv_capacity - prompt_len
+        if self._depth1() > M:
+            return False
+        if assumed_len == 1 or max(self._bound, assumed_len) <= M:
+            return True  # depth 1 alone, or with B for the deeper depths
+        return max(self._dense(assumed_len)[:assumed_len]) <= M
 
     def admit(
         self,
@@ -529,10 +533,20 @@ class AdmissionPlanner:
             raise ValueError(f"assumed_len must be >= 1, got {assumed_len}")
         if limit <= 0:
             return 0
-        self._ensure(assumed_len)
         M = self.kv_capacity
         l = prompt_len
-        vec = self._vec[:assumed_len]
+        room = M - l - self._depth1()
+        if room < 0:
+            return 0  # depth 1 has no room for even one copy
+        cap = 1 + room // (l + 1)  # depth 1's cap
+        if cap > limit:
+            cap = limit
+        if assumed_len == 1:
+            return cap
+        room = M - l - max(self._bound, assumed_len)
+        if room >= 0 and 1 + room // (l + assumed_len) >= cap:
+            return cap  # B shows no deeper depth caps it lower
+        vec = self._dense(assumed_len)[:assumed_len]
         room = M - l - max(vec)
         if room < 0:
             return 0  # some depth has no room for even one copy
@@ -560,19 +574,24 @@ class AdmissionPlanner:
         t = self._clock
         rem_abs = t + assumed_len
         mass_abs = prompt_len - t
-        self._add_bin(rem_abs, mass_abs * count, count)
+        self._add_bin(rem_abs, mass_abs * count, count, req_ids is not None and not exact)
+        self._mass += mass_abs * count
+        self._cnt += count
+        # each candidate holds prompt_len + d <= prompt_len + assumed_len at depth d
+        self._bound = max(self._bound, assumed_len) + count * (prompt_len + assumed_len)
         if req_ids is None:
             self._booked.extend(repeat(None, count))
         else:
             self._booked.extend(req_ids)
-            self._book(req_ids, _PlannedEntry(mass_abs, rem_abs, assumed_len), exact)
+            self._book(req_ids, _PlannedEntry(mass_abs, rem_abs, assumed_len, exact))
         vec = self._vec
         if vec is not None:
-            # in-place range add: each candidate holds l + d at depth d <= x
-            rng = min(assumed_len, len(vec))
-            add0 = count * (prompt_len + 1)
-            vec[:rng] = map(add, vec[:rng], range(add0, add0 + count * rng, count))
-            self._front = None
+            if self._used and assumed_len <= len(vec):
+                # in-place range add: each candidate holds l + d at depth d <= x
+                add0 = count * (prompt_len + 1)
+                vec[:assumed_len] = map(add, vec[:assumed_len], range(add0, add0 + count * assumed_len, count))
+            else:
+                self._vec = None  # no query of this slot read it, or it reaches past it
 
     def bootstrap(
         self,
@@ -585,12 +604,15 @@ class AdmissionPlanner:
         """Register an already-active request; one that has generated its
         assumed length already counts as finishing one slot ahead."""
         t = self._clock
-        rem_abs = t + max(assumed_len - generated, 1)
+        left = max(assumed_len - generated, 1)
         mass_abs = (prompt_len + generated) - t
-        self._add_bin(rem_abs, mass_abs, 1)
+        self._add_bin(t + left, mass_abs, 1, rid is not None and not exact)
+        self._mass += mass_abs
+        self._cnt += 1
+        self._bound = max(self._bound, left) + prompt_len + generated + left
         self._vec = None
         if rid is not None:
-            self._book((rid,), _PlannedEntry(mass_abs, rem_abs, assumed_len), exact)
+            self._book((rid,), _PlannedEntry(mass_abs, t + left, assumed_len, exact))
 
 
 class Policy:

@@ -125,6 +125,7 @@ OVERLOAD_POLICIES = (
 EXPLOSION_SLOPE = 0.8 * (20300 - 16492) / 2430
 
 
+@pytest.mark.slow
 def test_criterion_4_overload_explodes_under_every_policy():
     assert EXPLOSION_SLOPE == pytest.approx(1.2537, abs=5e-4)
     start = time.perf_counter()

@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kvflow.core import (
     EngineError,
@@ -18,6 +20,15 @@ from kvflow.core import (
     workload_tokens,
 )
 from kvflow.policies import PolicyView
+
+# as in test_properties: derandomized, so a run is deterministic, and
+# failures shrink to a short operation sequence
+PROPERTY = settings(
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def brute_lifetime_tokens(prompt_len: int, decode_len: int) -> int:
@@ -181,77 +192,112 @@ class TestRequestAndClass:
         assert not hasattr(r, "completion_slot") and not hasattr(r, "evictions")
 
 
-class TestWaitingQueue:
-    def test_matches_sorted_reference_under_random_operations(self):
-        # fresh arrivals, eviction re-entries at their arrival position, and
-        # removals mostly at the front (as FIFO policies activate) but also
-        # anywhere; iteration must always give (arrival_slot, id) order
-        rng = random.Random(7)
-        for _ in range(60):
-            q = WaitingQueue()
-            live = {}
-            taken = []
-            next_id, slot = 1, 1
-            for _ in range(300):
-                op = rng.random()
-                if op < 0.35:
-                    for _ in range(rng.randint(0, 3)):
-                        r = Request(next_id, 1, 1, slot)
-                        q.push(r)
-                        live[r.id] = r
-                        next_id += 1
-                    slot += rng.randint(0, 1)
-                elif op < 0.5 and taken:
-                    r = taken.pop(rng.randrange(len(taken)))
-                    q.readmit(r)
-                    live[r.id] = r
-                elif op < 0.85 and live:
-                    order = sorted(live.values(), key=arrival_key)
-                    r = order[0] if rng.random() < 0.6 else rng.choice(order)
-                    assert q.remove(r.id) is r
-                    del live[r.id]
-                    taken.append(r)
-                else:
-                    expected = sorted(live.values(), key=arrival_key)
-                    assert [r.id for r in q] == [r.id for r in expected]
-                assert len(q) == len(live)
-                assert all(rid in q for rid in live)
-            assert [r.id for r in q] == [r.id for r in sorted(live.values(), key=arrival_key)]
+# an index into whatever list an operation picks from, reduced modulo its length
+PICK = st.integers(0, 1 << 16)
 
-    def test_grouped_queue_matches_sorted_reference(self):
+# fresh arrivals (how many, and whether the slot then moves on), eviction
+# re-entries, removals at the front or anywhere, and full-order checks
+QUEUE_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), st.integers(0, 3), st.booleans()),
+        st.tuples(st.just("readmit"), PICK),
+        st.tuples(st.just("remove"), st.booleans(), PICK),
+        st.tuples(st.just("check")),
+    ),
+    max_size=150,
+)
+
+# as QUEUE_OPS, with a prompt length per arrival (its group key is the
+# length modulo 3), re-entries that may move to another key, removals from
+# one group, and a count_before probe after every operation
+GROUPED_OPS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.tuples(st.just("push"), st.lists(st.integers(1, 6), max_size=4), st.booleans()),
+            st.tuples(st.just("readmit"), PICK, st.one_of(st.none(), st.integers(0, 4))),
+            st.tuples(st.just("remove"), PICK, st.booleans(), PICK),
+        ),
+        st.tuples(PICK, PICK),
+    ),
+    max_size=120,
+)
+
+
+class TestWaitingQueue:
+    @settings(PROPERTY, max_examples=200)
+    @given(QUEUE_OPS)
+    def test_matches_sorted_reference_under_random_operations(self, ops):
+        # fresh arrivals, eviction re-entries at their arrival position, and
+        # removals at the front (as FIFO policies activate) or anywhere;
+        # iteration must always give (arrival_slot, id) order
+        q = WaitingQueue()
+        live = {}
+        taken = []
+        next_id, slot = 1, 1
+        for op, *args in ops:
+            if op == "push":
+                count, moves_on = args
+                for _ in range(count):
+                    r = Request(next_id, 1, 1, slot)
+                    q.push(r)
+                    live[r.id] = r
+                    next_id += 1
+                slot += moves_on
+            elif op == "readmit" and taken:
+                r = taken.pop(args[0] % len(taken))
+                q.readmit(r)
+                live[r.id] = r
+            elif op == "remove" and live:
+                front, pick = args
+                order = sorted(live.values(), key=arrival_key)
+                r = order[0 if front else pick % len(order)]
+                assert q.remove(r.id) is r
+                del live[r.id]
+                taken.append(r)
+            elif op == "check":
+                expected = sorted(live.values(), key=arrival_key)
+                assert [r.id for r in q] == [r.id for r in expected]
+            assert len(q) == len(live)
+            assert all(rid in q for rid in live)
+        assert [r.id for r in q] == [r.id for r in sorted(live.values(), key=arrival_key)]
+
+    @settings(PROPERTY, max_examples=150)
+    @given(GROUPED_OPS)
+    def test_grouped_queue_matches_sorted_reference(self, ops):
         # requests keyed into groups; a re-entering request may come back
         # under another key (as amin's raised prediction moves it), and
-        # removals hit a group's head mostly but anywhere in it sometimes
-        rng = random.Random(11)
-        for _ in range(40):
-            moved = {}  # id -> the key it re-enters under
-            q = WaitingQueue(lambda r: moved.get(r.id, r.prompt_len % 3))
-            live = {}  # id -> (request, its group key)
-            taken = []
-            next_id, slot = 1, 1
-            for _ in range(250):
-                op = rng.random()
-                if op < 0.35:
-                    for _ in range(rng.randint(0, 4)):
-                        r = Request(next_id, rng.randint(1, 6), 1, slot)
-                        q.push(r)
-                        live[r.id] = (r, r.prompt_len % 3)
-                        next_id += 1
-                    slot += rng.randint(0, 1)
-                elif op < 0.5 and taken:
-                    r = taken.pop(rng.randrange(len(taken)))
-                    if rng.random() < 0.5:
-                        moved[r.id] = rng.randint(0, 4)
-                    q.readmit(r)
-                    live[r.id] = (r, moved.get(r.id, r.prompt_len % 3))
-                elif op < 0.85 and live:
-                    key = rng.choice(sorted({k for _, k in live.values()}))
-                    members = sorted((r for r, k in live.values() if k == key), key=arrival_key)
-                    r = members[0] if rng.random() < 0.7 else rng.choice(members)
-                    assert q.remove(r.id) is r
-                    del live[r.id]
-                    taken.append(r)
-                self.check_groups(q, live, (rng.randint(0, slot + 1), rng.randint(0, next_id)))
+        # removals hit a group's head or anywhere in it
+        moved = {}  # id -> the key it re-enters under
+        q = WaitingQueue(lambda r: moved.get(r.id, r.prompt_len % 3))
+        live = {}  # id -> (request, its group key)
+        taken = []
+        next_id, slot = 1, 1
+        for (op, *args), (probe_slot, probe_id) in ops:
+            if op == "push":
+                prompts, moves_on = args
+                for prompt_len in prompts:
+                    r = Request(next_id, prompt_len, 1, slot)
+                    q.push(r)
+                    live[r.id] = (r, prompt_len % 3)
+                    next_id += 1
+                slot += moves_on
+            elif op == "readmit" and taken:
+                pick, key = args
+                r = taken.pop(pick % len(taken))
+                if key is not None:
+                    moved[r.id] = key
+                q.readmit(r)
+                live[r.id] = (r, moved.get(r.id, r.prompt_len % 3))
+            elif op == "remove" and live:
+                key_pick, front, pick = args
+                keys = sorted({k for _, k in live.values()})
+                key = keys[key_pick % len(keys)]
+                members = sorted((r for r, k in live.values() if k == key), key=arrival_key)
+                r = members[0 if front else pick % len(members)]
+                assert q.remove(r.id) is r
+                del live[r.id]
+                taken.append(r)
+            self.check_groups(q, live, (probe_slot % (slot + 2), probe_id % (next_id + 1)))
 
     @staticmethod
     def check_groups(q, live, probe):

@@ -269,55 +269,81 @@ def test_every_policy_stays_within_budget(workload):
 
 @st.composite
 def ledger_scripts(draw):
-    """A kv budget and up to 24 slots of ledger changes: each slot books
+    """A kv budget and up to 30 slots of ledger changes: each slot books
     some requests, some (l, x) queries, some evictions and some
     completions, drawn as fractions of what is live so they stay valid.
 
-    Queries reach depth 16 at most, so the dense vector stays 16 deep, and
-    bookings reach past it (up to 30): an early completion of one of those
-    changes depths the vector does not hold."""
-    kv_capacity = draw(st.integers(10, 120))
+    The budget is either tight (10-120 tokens), where most queries take
+    the exact path, or loose against the bookings (up to 3 000 tokens),
+    where the depth-1 total and the bound answer most of them. A query
+    may ask for a prompt length within two tokens of the largest that
+    fits, so answers at the boundary are checked too. A booking that is
+    not exact may assume a window of a few slots and stay long past it,
+    overdue, before it is evicted or finishes. Queries reach depth 40,
+    past every booking (30 at most) and past any earlier query. Some slots
+    also compare the projection, which makes the planner keep its dense
+    vector for the rest of the slot."""
+    kv_capacity = draw(st.one_of(st.integers(10, 120), st.integers(121, 3000)))
     slots = draw(
         st.lists(
             st.fixed_dictionaries(
                 {
                     "book": st.lists(
-                        st.tuples(st.integers(1, 9), st.integers(1, 30), st.booleans(), st.integers(1, 3)),
+                        st.tuples(
+                            st.integers(1, 9),
+                            st.one_of(st.integers(1, 4), st.integers(1, 30)),
+                            st.booleans(),
+                            st.integers(1, 3),
+                        ),
                         max_size=3,
                     ),
-                    "ask": st.lists(st.tuples(st.integers(1, 9), st.integers(1, 16), st.integers(1, 6)), max_size=3),
+                    "ask": st.lists(
+                        st.tuples(
+                            st.integers(1, 9),
+                            st.integers(1, 40),
+                            st.integers(1, 6),
+                            st.one_of(st.none(), st.integers(-2, 2)),
+                        ),
+                        max_size=3,
+                    ),
+                    "project": st.one_of(st.none(), st.integers(1, 40)),
                     "evict": st.lists(st.floats(0, 1, exclude_max=True), max_size=2),
                     "finish": st.lists(st.floats(0, 1, exclude_max=True), max_size=2),
                 }
             ),
             min_size=1,
-            max_size=24,
+            max_size=30,
         )
     )
     return kv_capacity, slots, draw(st.booleans())
 
 
-def check_ledger(planner, booked, clock, asks, finishing=()):
-    """feasible, max_admissible and projection against core.peak_projection
-    over the booked requests: an exact one holds its length, one that is
-    not exact counts as at least one token past what it generated, and one
-    finishing in this slot (finishing) counts in it alone."""
+def check_ledger(planner, booked, clock, slot, finishing=()):
+    """feasible, max_admissible and (when the slot says so) projection
+    against core.peak_projection over the booked requests: an exact one
+    holds its length, one that is not exact counts as at least one token
+    past what it generated, and one finishing in this slot (finishing)
+    counts in it alone."""
     kv = planner.kv_capacity
     entries = []
     for rid, (l, s, x, exact) in booked.items():
         g = clock - s
         entries.append((l, g, g + 1 if rid in finishing else x if exact else max(x, g + 1)))
-    if asks:  # a query builds the dense vector, so none is made without one
-        assert planner.projection(16) == peak_projection(entries, 16)
-    for l, x, limit in asks:
+    for l, x, limit, edge in slot["ask"]:
+        if edge is not None:
+            # the largest prompt length that fits, moved by edge
+            proj = peak_projection(entries, x)
+            l = max(1, kv - max(proj[d - 1] + d for d in range(1, x + 1)) + edge)
         assert planner.feasible(l, x) == fits(entries, l, x, kv), (l, x)
         copies = 0
         while copies < limit and fits(entries + [(l, 0, x)] * copies, l, x, kv):
             copies += 1
         assert planner.max_admissible(l, x, limit) == copies, (l, x, limit)
+    if slot["project"] is not None:
+        assert planner.projection(slot["project"]) == peak_projection(entries, slot["project"])
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(PROPERTY, max_examples=200)
 @given(ledger_scripts())
 def test_ledger_matches_projection_reference(script):
     kv_capacity, slots, grouped = script
@@ -328,14 +354,13 @@ def test_ledger_matches_projection_reference(script):
     next_id = 1
     for clock, slot in enumerate(slots, start=1):
         planner.advance(clock)
-        asks = slot["ask"]
-        check_ledger(planner, booked, clock, asks)
+        check_ledger(planner, booked, clock, slot)
         for l, x, exact, count in slot["book"]:
             ids = list(range(next_id, next_id + count))
             next_id += count
             planner.admit_many(count, l, x, ids, exact=exact)
             booked.update(dict.fromkeys(ids, (l, clock, x, exact)))
-            check_ledger(planner, booked, clock, asks)
+            check_ledger(planner, booked, clock, slot)
         assert planner.take_booked() == [rid for rid, (_, s, _, _) in booked.items() if s == clock]
         live = list(booked)
         victims = sorted({live[int(f * len(live))] for f in slot["evict"]} if live else ())
@@ -343,13 +368,13 @@ def test_ledger_matches_projection_reference(script):
             planner.remove(*victims)
             for rid in victims:
                 del booked[rid]
-            check_ledger(planner, booked, clock, asks)
+            check_ledger(planner, booked, clock, slot)
         # exact requests finish on schedule; the others wherever drawn
         due = [rid for rid, (_, s, x, exact) in booked.items() if exact and s + x - 1 == clock]
         live = [rid for rid, entry in booked.items() if not entry[3]]
         due += sorted({live[int(f * len(live))] for f in slot["finish"]} if live else ())
         planner.complete(*due)
-        check_ledger(planner, booked, clock, asks, finishing=set(due))
+        check_ledger(planner, booked, clock, slot, finishing=set(due))
         for rid in due:
             del booked[rid]
     if grouped:
