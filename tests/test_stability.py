@@ -2,6 +2,7 @@
 log-space overflow bound against hand-derived constants, and the grid
 search's determinism."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -411,3 +412,48 @@ class TestBudgetSearch:
     def test_unsearchable_policy_rejected(self):
         with pytest.raises(ValueError, match="searchable"):
             budget_search(self.small_spec(), 30, "mc", "token_throughput", grid=[1])
+
+
+class TestBudgetSearchPinned:
+    """search.csv bytes and the best point of every objective for each
+    searchable policy, recorded before the objectives and the "better" test
+    moved to the oracle's. The first point of each grid completes nothing,
+    so its latency columns read inf."""
+
+    GRIDS = {
+        "flow_scalar": [Fraction(1, 10**6), 1, Fraction(3, 2), 3],
+        "flow_per_class": [(0, 0), (1, 1), (2, 1)],
+        "alpha_protection": [Fraction(99, 100), Fraction(1, 2), 0],
+        "amin": [1000, 1, 3],
+    }
+    # (policy, objective, sha256 of search.csv, best_budget, best_value)
+    PINNED = [
+        ("flow_scalar", "avg_latency", "dd01006d8a3f9a9ed85d839dbedebad53164daa16262f0118efcd8c810b23ac5", 3, 2.4841772151898733),
+        ("flow_scalar", "p95_latency", "8b1988f2bc4a72a365a970e9e746e30ee78fdbdd35eb47258aeb41ef0565b5bc", 3, 3.0),
+        ("flow_scalar", "request_throughput", "b1b472bed89dbfe3f4fca91adf1ebdd5db17e15fafb899ad9be8a566755d97f8", 3, 1.1583333333333332),
+        ("flow_scalar", "token_throughput", "f9f0a9e0d0d06094100e84ba9f01d5d4de1b0a00e2b7088e55cca0d1fef33738", 3, 2.841666666666667),
+        ("flow_per_class", "avg_latency", "8930e6f6c8a57c7951e85abd4fda76e1098c903096976c08036908ce81c505c7", (2, 1), 2.8166666666666664),
+        ("flow_per_class", "p95_latency", "e88090117061a818919f0e339671f37dd65dd15eb6b125384ebd418c3e88c666", (2, 1), 4.0),
+        ("flow_per_class", "request_throughput", "faf6a57214890d12871ee7893d46dddbc3938b6fd70c0f4fa0244e11b7cf643b", (1, 1), 1.1583333333333332),
+        ("flow_per_class", "token_throughput", "088eb8571781d9394eb919a995a3524985d6b0db47c6ad8b7b1e308bc6679694", (1, 1), 2.841666666666667),
+        ("alpha_protection", "avg_latency", "592f4658dbd7cb3bf2df4f6729d90018af8bf25543ec4d78f75b3e685e79d881", 0, 2.4772727272727275),
+        ("alpha_protection", "p95_latency", "924478da59f32eee9cd001e72685d61586a6ab86d53f5008663498c560e4a1d6", 0, 3.0),
+        ("alpha_protection", "request_throughput", "c81445535df8d1946477869a6858e4c08f03ee98431a4cf690d283336546af84", Fraction(1, 2), 1.1583333333333332),
+        ("alpha_protection", "token_throughput", "5e362fbbb585bb2d874ce658d9957dd6ea74b9227440e3ef709c4abc7a2073a0", Fraction(1, 2), 2.841666666666667),
+        ("amin", "avg_latency", "8c30964fca27d2681eecaf9d8d74a6c95a2bd4b5110da38ef0953221dc49a79c", 1, 2.4651898734177218),
+        ("amin", "p95_latency", "7ccd8fd91e65aba37da094e75972e7339405c4c456cabe6b6dbecfc7bcd450d8", 1, 3.0),
+        ("amin", "request_throughput", "094d6f6085de8106ada645bf415c1968c678443d30e88384f5b7d8dfa577b9fa", 1, 1.1583333333333332),
+        ("amin", "token_throughput", "fe99d03b4541eb4d17ac9769fb4c55403708a2df69336072b76856f943290ed5", 1, 2.841666666666667),
+    ]
+
+    @pytest.mark.parametrize("policy, objective, digest, best_budget, best_value", PINNED)
+    def test_pinned(self, tmp_path, policy, objective, digest, best_budget, best_value):
+        spec = WorkloadSpec.synthetic(
+            [RequestClass(2, 3, Fraction(1, 2)), RequestClass(1, 2, Fraction(1, 2))], horizon=60
+        )
+        res = budget_search(spec, 30, policy, objective, self.GRIDS[policy], seeds=[0, 1])
+        assert res.rows[0]["completed"] == 0
+        path = tmp_path / "search.csv"
+        res.write_csv(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert (res.best_budget, res.best_value) == (best_budget, best_value)
