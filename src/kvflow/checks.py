@@ -47,16 +47,6 @@ EXPLOSION_POLICIES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    """Fixed run plan for one statistical check."""
-
-    claim: str
-    seeds: Tuple[int, ...]
-    horizon: int
-    tolerance: float = 0.0
-
-
 @dataclass
 class CheckResult:
     """Outcome of one check: verdict plus the numbers behind it."""

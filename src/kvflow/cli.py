@@ -38,12 +38,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from kvflow import metrics, oracle, presets, stability, workload
 from kvflow.core import EngineError, as_fraction
 from kvflow.engine import run as engine_run, write_events_csv
-from kvflow.policies import (
-    POLICY_NAMES,
-    PolicyApplicabilityError,
-    make_policy,
-)
-from kvflow.stability import _SEARCH_PARAM, OBJECTIVES
+from kvflow.oracle import OBJECTIVES
+from kvflow.policies import POLICY_NAMES, make_policy
+from kvflow.stability import _SEARCH_PARAM
 from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
 
 EXIT_OK = 0
@@ -292,6 +289,14 @@ def load_experiment(path: str, args, mode: str) -> ExperimentConfig:
     )
 
 
+def _require_applicable(name: str, params: dict, spec: WorkloadSpec, where: str = "") -> None:
+    """Raise ConfigError naming 'policy' when the policy cannot run on the
+    workload (compare writes a 'no: ...' row instead)."""
+    reason = make_policy(name, params).applicable(spec)
+    if reason is not None:
+        raise ConfigError(f"field 'policy': {name}{where} cannot run on this workload: {reason}")
+
+
 def _single_config_path(args) -> str:
     paths = args.config or []
     if len(paths) != 1:
@@ -366,21 +371,14 @@ def _run_task(task):
 def _compare_task(task):
     """Every policy on one seed's stream, generated once and replayed.
 
-    Per policy, in order: its usage series and metrics, or the
-    PolicyApplicabilityError that stopped it on this seed. The rest of a
-    run is dropped before the next one starts.
+    Per policy, in order: its usage series and metrics. The rest of a run
+    is dropped before the next one starts.
     """
     spec, policies, kv_capacity, seed, track = task
     arrivals = generate_arrivals(spec, seed)
     outs = []
     for name, params in policies:
-        try:
-            result = engine_run(
-                arrivals, make_policy(name, params), kv_capacity, seed=seed, track_classes=track
-            )
-        except PolicyApplicabilityError as exc:
-            outs.append(exc)
-            continue
+        result = engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed, track_classes=track)
         outs.append((result.usage, metrics.compute_metrics(result)))
         del result
     return outs
@@ -471,6 +469,7 @@ def _emit_run_outputs(cfg: ExperimentConfig, seed: int, result, report) -> List[
 def cmd_run(args) -> int:
     cfg = load_experiment(_single_config_path(args), args, mode="single")
     name, params = cfg.policies[0]
+    _require_applicable(name, params, cfg.spec)
     track = len(cfg.spec.classes) if cfg.spec.classes else None
     tasks = [
         (cfg.spec, name, params, cfg.kv_capacity, seed, cfg.emit["event_log"], track)
@@ -611,14 +610,11 @@ def cmd_compare(args) -> int:
     by_policy = zip(*per_seed)
     rows: List[dict] = []
     for label, (name, params), reason in zip(labels, policies, reasons):
-        if reason is None:
-            outs = next(by_policy)  # one entry per seed, in seed order
-            failed = [o for o in outs if isinstance(o, PolicyApplicabilityError)]
-            reason = str(failed[0]) if failed else None
         if reason is not None:
             _status(f"{label}: inapplicable ({reason})")
             rows.append(_inapplicable_row(label, params, reason))
             continue
+        outs = next(by_policy)  # one entry per seed, in seed order
         reports = [rep for _, rep in outs]
         rows.append(_compare_row(label, params, reports))
         write_usage_series_csv(seeds, [usage for usage, _ in outs], out / f"usage_{label}.csv")
@@ -741,7 +737,10 @@ def cmd_budget_search(args) -> int:
         raise ConfigError("field 'search.grid' must not be empty")
     grid = [_parse_grid_point(v, f"search.grid[{i}]") for i, v in enumerate(raw_grid)]
     base_params = dict(params)
-    base_params.pop(_SEARCH_PARAM[name], None)
+    param = _SEARCH_PARAM[name]
+    base_params.pop(param, None)
+    for point in grid:
+        _require_applicable(name, {**base_params, param: point}, cfg.spec, f" with {param} {point}")
     result = stability.budget_search(
         cfg.spec,
         cfg.kv_capacity,
@@ -943,10 +942,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except PolicyApplicabilityError as exc:
-        # the config asked for a policy/workload pairing that cannot work
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (EngineError, OSError, ValueError) as exc:

@@ -90,6 +90,13 @@ def workload_tokens(prompt_len: int, decode_len: int) -> int:
     return prompt_len * decode_len + (decode_len + decode_len * decode_len) // 2
 
 
+def nearest_rank(n: int, pct_num: int = 95, pct_den: int = 100) -> int:
+    """1-based order statistic index: ceil(pct * n) without float error."""
+    if n <= 0:
+        raise ValueError("need at least one observation")
+    return -((-pct_num * n) // pct_den)
+
+
 # the order waiting requests are served and arrivals reach the queue in
 ARRIVAL_ORDER = attrgetter("arrival_slot", "id")
 

@@ -16,7 +16,6 @@ float renderings, which keeps the row round-trippable.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from kvflow.core import nearest_rank
 from kvflow.engine import (
     EVENT_ACTIVATE,
     EVENT_ARRIVE,
@@ -34,17 +34,6 @@ from kvflow.engine import (
     EventEntry,
     RunResult,
 )
-
-GROWTH_THRESHOLD = 0.01  # requests per slot
-MIN_SLOPE_HORIZON = 1000  # shorter runs give an inconclusive verdict
-
-
-def nearest_rank(n: int, pct_num: int = 95, pct_den: int = 100) -> int:
-    """1-based order statistic index: ceil(pct * n) without float error."""
-    if n <= 0:
-        raise ValueError("need at least one observation")
-    return -((-pct_num * n) // pct_den)
-
 
 def least_squares_slope(y: Sequence[float]) -> float:
     """Slope of the ordinary least squares line through (1, y1)..(n, yn)."""
@@ -224,22 +213,6 @@ class MetricsReport:
         )
 
 
-def write_metrics_csv(reports: Iterable[MetricsReport], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_FIELDS)
-        for report in reports:
-            w.writerow(report.to_csv_row())
-
-
-def read_metrics_csv(path) -> List[MetricsReport]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != list(CSV_FIELDS):
-        raise ValueError(f"{path} is not a metrics table")
-    return [MetricsReport.from_csv_row(row) for row in rows[1:]]
-
-
 def _utilization(usage: np.ndarray, kv_capacity: int) -> Tuple[float, float, float]:
     if len(usage) == 0:
         return 0.0, 0.0, 0.0
@@ -396,38 +369,4 @@ def recompute_from_events(
         eviction_events=evictions,
         usage=as_i64(usage),
         unfinished=unfinished,
-    )
-
-
-@dataclass(frozen=True)
-class StabilityEstimate:
-    """Empirical growth verdict from the tail of the unfinished-count series."""
-
-    slope: float
-    verdict: str  # "stable" | "growing" | "inconclusive"
-    threshold: float
-    window: int  # number of trailing slots the slope was fitted on
-
-
-def stability_estimate(
-    result: RunResult, threshold: float = GROWTH_THRESHOLD
-) -> StabilityEstimate:
-    """Fit a slope to the last half of the unfinished-count series.
-
-    Runs shorter than MIN_SLOPE_HORIZON slots return verdict
-    "inconclusive" (the fitted slope is still reported). Otherwise the
-    verdict is "growing" when the slope exceeds the threshold.
-    """
-    unfinished = result.unfinished()
-    n = len(unfinished)
-    tail = unfinished[n // 2 :]
-    slope = least_squares_slope(tail)
-    if n < MIN_SLOPE_HORIZON:
-        verdict = "inconclusive"
-    elif slope > threshold:
-        verdict = "growing"
-    else:
-        verdict = "stable"
-    return StabilityEstimate(
-        slope=slope, verdict=verdict, threshold=threshold, window=len(tail)
     )

@@ -21,16 +21,15 @@ Exactness is the contract, so instances are capped at 10 requests and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from kvflow.core import Request
+from kvflow.core import Request, nearest_rank
 from kvflow.engine import EventEntry, event_rows, run as engine_run
-from kvflow.metrics import MetricsReport, compute_metrics, nearest_rank
+from kvflow.metrics import MetricsReport, compute_metrics
 from kvflow.policies import FixedSchedule, Policy
 
 REQUEST_CAP = 10
@@ -403,9 +402,3 @@ def verify_policy_dominance(
         oracle_schedule=solution.schedule,
         policy_events=tuple(result.events or ()),
     )
-
-
-def write_failure_json(instance: OfflineInstance, report: DominanceReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"instance": instance.as_dict(), "report": report.as_dict()}, fh, indent=1)
-        fh.write("\n")

@@ -29,7 +29,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from operator import add, attrgetter, floordiv, sub
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,7 +140,7 @@ class PolicyView:
         ledger = self._ledger
         if ledger is None:
             t = self.clock
-            ledger = self._ledger = AdmissionPlanner((), self.kv_capacity, clock=t)
+            ledger = self._ledger = AdmissionPlanner(self.kv_capacity, clock=t)
             for r in self._active.values():
                 # not exact: a policy may assume a length other than the true one
                 assumed = policy.assumed_len(r.id, r.decode_len if r.output_known else None)
@@ -189,29 +189,6 @@ class EvictionDecision:
     to_evict: List[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class BudgetSpec:
-    """Activation budget: per-class integer budgets or a scalar mean.
-
-    A scalar budget b is realized per slot as floor(b) plus a Bernoulli
-    trial on its fractional part, so the draw averages b and never exceeds
-    cap (defaults to ceil(b)).
-    """
-
-    per_class: Optional[Tuple[int, ...]] = None
-    scalar: Optional[Fraction] = None
-    cap: Optional[int] = None
-
-    @classmethod
-    def for_classes(cls, budgets: Sequence[int]) -> "BudgetSpec":
-        return cls(per_class=tuple(int(b) for b in budgets))
-
-    @classmethod
-    def for_scalar(cls, budget: Rate, cap: Optional[int] = None) -> "BudgetSpec":
-        b = as_fraction(budget)
-        return cls(scalar=b, cap=int(cap) if cap is not None else -(-b.numerator // b.denominator))
-
-
 # Planner-side record of a booked request: identical candidates booked
 # together share one record, since nothing in it is per request.
 _PlannedEntry = namedtuple("_PlannedEntry", ["mass_abs", "rem_abs", "assumed_len", "exact"])
@@ -247,8 +224,8 @@ class AdmissionPlanner:
     lowers it by one per slot, and a slot's first read of the dense vector
     resets it to the vector's maximum past depth 1. Evictions and
     completions never raise base(d), so they leave B as it is.
-    feasible says yes when max(B, x) + l fits; max_admissible returns
-    depth 1's count when B shows that no deeper depth allows fewer.
+    max_admissible returns depth 1's count when B shows that no deeper
+    depth allows fewer; feasible asks it for one copy.
 
     A query the two numbers cannot prove, and projection, take the exact
     path: the dense vector _vec[d - 1] = base(d) + d, down to the deepest
@@ -271,12 +248,7 @@ class AdmissionPlanner:
     eviction order without sorting the active set.
     """
 
-    def __init__(
-        self,
-        entries: Iterable[Tuple[int, int, int]] = (),
-        kv_capacity: int = 0,
-        clock: int = 0,
-    ) -> None:
+    def __init__(self, kv_capacity: int, clock: int = 0) -> None:
         self.kv_capacity = kv_capacity
         self._clock = clock
         # rem_abs (past the clock) -> [mass_abs, count, loose mass_abs,
@@ -292,15 +264,12 @@ class AdmissionPlanner:
         # assumed length -> ids in booking order, built by the first
         # iter_by_assumed_len and kept from then on
         self._by_len: Optional[Dict[int, Dict[int, None]]] = None
-        self._booked: List[Optional[int]] = []  # since take_booked; None if anonymous
+        self._booked: List[int] = []  # since take_booked
         # dense per-slot cache: _vec[d-1] = base(d) + d down to the deepest
         # bin, built only when a query needs it
         self._vec: Optional[List[int]] = None
         self._used = False  # a query read _vec in the current slot
         self._maxx = 16  # deepest horizon requested so far; densify this far
-        for l, g, o in entries:
-            if o > g:
-                self.bootstrap(None, l, g, o)
 
     def _add_bin(self, rem_abs: int, mass_abs: int, count: int, loose: bool) -> None:
         """Add count bookings, of mass_abs in all, to the bin at rem_abs;
@@ -450,9 +419,8 @@ class AdmissionPlanner:
             for rid in reversed(by_len[x]):
                 yield x, rid
 
-    def take_booked(self) -> List[Optional[int]]:
-        """Ids booked since the last call, in booking order (None for each
-        anonymous booking)."""
+    def take_booked(self) -> List[int]:
+        """Ids booked since the last call, in booking order."""
         booked = self._booked
         self._booked = []
         return booked
@@ -502,23 +470,10 @@ class AdmissionPlanner:
         return [vec[d] - (d + 1) for d in range(horizon)]
 
     def feasible(self, prompt_len: int, assumed_len: int) -> bool:
-        if assumed_len < 1:
-            raise ValueError(f"assumed_len must be >= 1, got {assumed_len}")
-        M = self.kv_capacity - prompt_len
-        if self._depth1() > M:
-            return False
-        if assumed_len == 1 or max(self._bound, assumed_len) <= M:
-            return True  # depth 1 alone, or with B for the deeper depths
-        return max(self._dense(assumed_len)[:assumed_len]) <= M
+        return self.max_admissible(prompt_len, assumed_len, 1) > 0
 
-    def admit(
-        self,
-        prompt_len: int,
-        assumed_len: int,
-        req_id: Optional[int] = None,
-        exact: bool = True,
-    ) -> None:
-        self.admit_many(1, prompt_len, assumed_len, None if req_id is None else (req_id,), exact)
+    def admit(self, prompt_len: int, assumed_len: int, req_id: int, exact: bool = True) -> None:
+        self.admit_many(1, prompt_len, assumed_len, (req_id,), exact)
 
     def max_admissible(self, prompt_len: int, assumed_len: int, limit: int) -> int:
         """Largest count of identical candidates that fit, capped at limit.
@@ -561,29 +516,26 @@ class AdmissionPlanner:
         count: int,
         prompt_len: int,
         assumed_len: int,
-        req_ids: Optional[Sequence[int]] = None,
+        req_ids: Sequence[int],
         exact: bool = True,
     ) -> None:
-        """Book count identical candidates in one pass; req_ids, when given,
-        names them in booking order. exact says each ends when assumed_len
-        says; otherwise one that outlives it turns overdue."""
+        """Book count identical candidates in one pass; req_ids names them
+        in booking order. exact says each ends when assumed_len says;
+        otherwise one that outlives it turns overdue."""
         if count <= 0:
             return
-        if req_ids is not None and len(req_ids) != count:
+        if len(req_ids) != count:
             raise ValueError(f"{len(req_ids)} ids name {count} candidates")
         t = self._clock
         rem_abs = t + assumed_len
         mass_abs = prompt_len - t
-        self._add_bin(rem_abs, mass_abs * count, count, req_ids is not None and not exact)
+        self._add_bin(rem_abs, mass_abs * count, count, not exact)
         self._mass += mass_abs * count
         self._cnt += count
         # each candidate holds prompt_len + d <= prompt_len + assumed_len at depth d
         self._bound = max(self._bound, assumed_len) + count * (prompt_len + assumed_len)
-        if req_ids is None:
-            self._booked.extend(repeat(None, count))
-        else:
-            self._booked.extend(req_ids)
-            self._book(req_ids, _PlannedEntry(mass_abs, rem_abs, assumed_len, exact))
+        self._booked.extend(req_ids)
+        self._book(req_ids, _PlannedEntry(mass_abs, rem_abs, assumed_len, exact))
         vec = self._vec
         if vec is not None:
             if self._used and assumed_len <= len(vec):
@@ -595,7 +547,7 @@ class AdmissionPlanner:
 
     def bootstrap(
         self,
-        rid: Optional[int],
+        rid: int,
         prompt_len: int,
         generated: int,
         assumed_len: int,
@@ -606,13 +558,12 @@ class AdmissionPlanner:
         t = self._clock
         left = max(assumed_len - generated, 1)
         mass_abs = (prompt_len + generated) - t
-        self._add_bin(t + left, mass_abs, 1, rid is not None and not exact)
+        self._add_bin(t + left, mass_abs, 1, not exact)
         self._mass += mass_abs
         self._cnt += 1
         self._bound = max(self._bound, left) + prompt_len + generated + left
         self._vec = None
-        if rid is not None:
-            self._book((rid,), _PlannedEntry(mass_abs, t + left, assumed_len, exact))
+        self._book((rid,), _PlannedEntry(mass_abs, t + left, assumed_len, exact))
 
 
 class Policy:
@@ -679,6 +630,12 @@ class PerClassFlowControl(Policy):
         if not budgets or any(b < 0 for b in budgets):
             raise ValueError(f"per-class budgets must be nonnegative ints, got {budgets}")
         self.budgets = budgets
+
+    def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
+        reason = super().applicable(spec)
+        if reason is None and len(self.budgets) != len(spec.classes):
+            return f"needs one budget per class, got {len(self.budgets)} for {len(spec.classes)} classes"
+        return reason
 
     # one group per class id; decide rejects any other id
     group_key = attrgetter("class_id")

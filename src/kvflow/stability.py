@@ -25,10 +25,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from kvflow.core import RequestClass, as_fraction, workload_tokens
-from kvflow.workload import LengthDistribution
+from kvflow.engine import run as engine_run
+from kvflow.metrics import compute_metrics
+from kvflow.oracle import OBJECTIVES, is_improvement, objective_value
+from kvflow.policies import make_policy
+from kvflow.workload import LengthDistribution, generate_arrivals
 
 NEGLIGIBLE_LOG = -700.0
 
@@ -370,25 +374,8 @@ def build_report(
     return StabilityReport(capacity=capacity, necessary=necessary, overflow=overflow)
 
 
-# objective name -> (higher is better, extractor)
-OBJECTIVES = {
-    "avg_latency": (False, lambda m: math.inf if m.avg_latency is None else float(m.avg_latency)),
-    "p95_latency": (False, lambda m: math.inf if m.p95_latency is None else float(m.p95_latency)),
-    "request_throughput": (True, lambda m: float(m.request_throughput)),
-    "token_throughput": (True, lambda m: float(m.token_throughput)),
-}
-
-SEARCH_FIELDS = (
-    "budget",
-    "objective_value",
-    "avg_latency",
-    "p95_latency",
-    "request_throughput",
-    "token_throughput",
-    "overflow_events",
-    "eviction_events",
-    "completed",
-)
+# the mean of every objective over the seeds, then event and completion totals
+SEARCH_FIELDS = ("budget", "objective_value", *OBJECTIVES, "overflow_events", "eviction_events", "completed")
 
 # which constructor parameter the searched value feeds, per policy
 _SEARCH_PARAM = {
@@ -427,15 +414,13 @@ def budget_search(
 ) -> BudgetSearchResult:
     """Measure every grid point with the same fixed seeds; pick the best.
 
-    The objective per grid point is the mean over seeds. Latency
-    objectives minimize; throughput objectives maximize; a grid point
-    with no completions scores infinitely bad latency. Ties keep the
-    earliest grid point, so repeated calls return the same answer.
+    The objective per grid point is the mean over seeds of the oracle's
+    objective_value, and the oracle's is_improvement says which mean is
+    better: latency objectives minimize, throughput objectives maximize,
+    and a grid point with no completions scores infinitely bad latency.
+    Ties keep the earliest grid point, so repeated calls return the same
+    answer.
     """
-    from kvflow.engine import run as engine_run
-    from kvflow.metrics import compute_metrics
-    from kvflow.policies import make_policy
-
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; known: {', '.join(OBJECTIVES)}")
     if policy not in _SEARCH_PARAM:
@@ -445,10 +430,7 @@ def budget_search(
         raise ValueError("grid must not be empty")
     if not seeds:
         raise ValueError("need at least one seed")
-    higher_better, extract = OBJECTIVES[objective]
     param_name = _SEARCH_PARAM[policy]
-
-    from kvflow.workload import generate_arrivals
 
     # one stream per seed, replayed under every grid point
     measured: List[list] = [[] for _ in grid]  # per grid point, one report per seed
@@ -464,51 +446,17 @@ def budget_search(
     best_idx = None
     best_value = None
     for idx, (point, reports) in enumerate(zip(grid, measured)):
-        vals: List[float] = []
-        agg = {
-            "avg_latency": [],
-            "p95_latency": [],
-            "request_throughput": [],
-            "token_throughput": [],
-            "overflow_events": 0,
-            "eviction_events": 0,
-            "completed": 0,
+        means = {
+            name: sum(float(objective_value(m, name)) for m in reports) / len(seeds)
+            for name in OBJECTIVES
         }
-        for m in reports:
-            vals.append(extract(m))
-            agg["avg_latency"].append(
-                math.inf if m.avg_latency is None else float(m.avg_latency)
-            )
-            agg["p95_latency"].append(
-                math.inf if m.p95_latency is None else float(m.p95_latency)
-            )
-            agg["request_throughput"].append(float(m.request_throughput))
-            agg["token_throughput"].append(float(m.token_throughput))
-            agg["overflow_events"] += m.overflow_events
-            agg["eviction_events"] += m.eviction_events
-            agg["completed"] += m.completed
-        value = sum(vals) / len(vals)
-        rows.append(
-            {
-                "budget": str(point),
-                "objective_value": value,
-                "avg_latency": sum(agg["avg_latency"]) / len(seeds),
-                "p95_latency": sum(agg["p95_latency"]) / len(seeds),
-                "request_throughput": sum(agg["request_throughput"]) / len(seeds),
-                "token_throughput": sum(agg["token_throughput"]) / len(seeds),
-                "overflow_events": agg["overflow_events"],
-                "eviction_events": agg["eviction_events"],
-                "completed": agg["completed"],
-            }
-        )
-        better = (
-            best_value is None
-            or (higher_better and value > best_value)
-            or (not higher_better and value < best_value)
-        )
-        if better:
+        row = {"budget": str(point), "objective_value": means[objective], **means}
+        for name in ("overflow_events", "eviction_events", "completed"):
+            row[name] = sum(getattr(m, name) for m in reports)
+        rows.append(row)
+        if is_improvement(means[objective], best_value, objective):
             best_idx = idx
-            best_value = value
+            best_value = means[objective]
     return BudgetSearchResult(
         objective=objective,
         policy=policy,

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from kvflow.core import Rate, Request, RequestClass, workload_tokens
+from kvflow.core import Rate, Request, RequestClass, as_fraction, nearest_rank, workload_tokens
 
 ARRIVAL_STREAM_TAG = 0
 # largest rate sampled by one CDF walk; exp(-500) is still a normal float
@@ -161,8 +161,8 @@ class WorkloadSpec:
 
     def total_rate(self) -> Fraction:
         if self.kind == "synthetic":
-            return sum((Fraction(c.rate) for c in self.classes), Fraction(0))
-        return Fraction(self.rate)
+            return sum((as_fraction(c.rate) for c in self.classes), Fraction(0))
+        return as_fraction(self.rate)
 
 
 @dataclass
@@ -370,12 +370,6 @@ def _parse_raw_pair(obj: dict):
     return len(prompt.split()), len(response.split()), obj.get("id")
 
 
-def _nearest_rank(sorted_values: Sequence[int], pct: int) -> int:
-    n = len(sorted_values)
-    rank = max(1, -(-pct * n // 100))
-    return sorted_values[rank - 1]
-
-
 @dataclass
 class LengthSummary:
     count: int
@@ -406,8 +400,8 @@ def sample_lengths_summary(records: Sequence[TraceRecord]) -> LengthSummary:
         count=n,
         prompt_mean=sum(prompts) / n,
         output_mean=sum(outputs) / n,
-        prompt_percentiles={p: _nearest_rank(prompts, p) for p in pcts},
-        output_percentiles={p: _nearest_rank(outputs, p) for p in pcts},
+        prompt_percentiles={p: prompts[nearest_rank(n, p) - 1] for p in pcts},
+        output_percentiles={p: outputs[nearest_rank(n, p) - 1] for p in pcts},
         max_prompt=prompts[-1],
         max_output=outputs[-1],
         mean_workload=Fraction(total_w, n),
@@ -427,11 +421,11 @@ class LengthDistribution:
             raise ValueError("distribution needs at least one pair")
         if len(pairs) != len(weights):
             raise ValueError("pairs and weights must have equal length")
-        total = sum((Fraction(w) for w in weights), Fraction(0))
+        self.weights = [as_fraction(w) for w in weights]
+        total = sum(self.weights, Fraction(0))
         if total <= 0:
             raise ValueError("weights must have positive total")
         self.pairs = [(int(l), int(o)) for l, o in pairs]
-        self.weights = [Fraction(w) for w in weights]
         self._total = total
 
     @classmethod
@@ -448,7 +442,7 @@ class LengthDistribution:
     def mean_workload(self) -> Fraction:
         acc = Fraction(0)
         for (l, o), w in zip(self.pairs, self.weights):
-            acc += Fraction(w) * workload_tokens(l, o)
+            acc += w * workload_tokens(l, o)
         return acc / self._total
 
     def max_len(self) -> int:

@@ -447,6 +447,62 @@ class TestCompare:
         assert cli.main(["compare", "-c", write_config(tmp_path, doc)]) == cli.EXIT_CONFIG
 
 
+class TestApplicability:
+    """run and budget-search refuse a policy that cannot run on the workload
+    (exit 2, naming the 'policy' field); compare writes a 'no: ...' row for
+    it and runs the rest."""
+
+    FLOW_PER_CLASS = {"name": "flow_per_class", "params": {"budgets": [2, 2]}}
+
+    def trace_config(self):
+        workload = {
+            "kind": "trace",
+            "horizon": 50,
+            "trace_path": "builtin:trace_1k",
+            "rate": 2,
+            "outputs_known": True,
+        }
+        return base_config(workload=workload, policy=self.FLOW_PER_CLASS)
+
+    def test_run_flow_per_class_on_trace(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.trace_config())
+        assert cli.main(["run", "-c", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'policy': flow_per_class cannot run on this workload: needs class structure" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_budget_search_flow_per_class_on_trace(self, tmp_path, capsys):
+        doc = self.trace_config()
+        doc["search"] = {"objective": "avg_latency", "grid": [[1, 1], [2, 2]]}
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["budget-search", "-c", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'policy': flow_per_class with budgets (1, 1) cannot run" in err
+        assert "needs class structure" in err
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_compare_budget_count_must_match_classes(self, tmp_path, capsys, count):
+        # three classes: two budgets stopped every run at class id 2 and lost
+        # the whole table, four left the last budget unread
+        doc = compare_config(
+            policies=[
+                {"name": "flow_per_class", "params": {"budgets": [1] * count}},
+                {"name": "mc", "params": {}},
+            ]
+        )
+        doc["workload"]["classes"].append({"prompt_len": 3, "decode_len": 2, "rate": 1})
+        out = tmp_path / "out"
+        assert cli.main(["compare", "-c", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out / "compare.csv", newline="", encoding="utf-8") as fh:
+            rows = {r["policy"]: r["applicable"] for r in csv.DictReader(fh)}
+        assert rows == {
+            "flow_per_class": f"no: needs one budget per class, got {count} for 3 classes",
+            "mc": "yes",
+        }
+        assert not (out / "usage_flow_per_class.csv").exists()
+
+
 class TestStability:
     def test_known_sufficient(self, tmp_path, capsys):
         doc = {

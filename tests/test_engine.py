@@ -285,7 +285,6 @@ class TestStateValidation:
             ([1, 2], [1]),  # books an id it does not activate
             ([1], [1, 2]),  # activates an id it did not book
             ([2, 1], [1, 2]),  # books both, out of activation order
-            (None, [1]),  # books an anonymous candidate in place of an id
         ],
     )
     def test_ledger_bookings_must_match_activations(self, booked, activated):
@@ -298,7 +297,7 @@ class TestStateValidation:
             def decide(self, view):
                 if view.clock > 1:
                     return ActivationDecision([])
-                view.ledger(self).admit_many(len(booked or [0]), 3, 3, req_ids=booked)
+                view.ledger(self).admit_many(len(booked), 3, 3, req_ids=booked)
                 return ActivationDecision(activated)
 
         arrivals = [[req(1, 3, 3, 1), req(2, 3, 3, 1)], [], [], []]

@@ -1,5 +1,5 @@
 """Metrics tests: hand-computed reports, nearest-rank percentiles, the
-event-log recomputation oracle, and the tail-slope stability verdict."""
+event-log recomputation oracle, and exact CSV rows."""
 
 import json
 from fractions import Fraction
@@ -7,18 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvflow.core import Request, RequestClass
+from kvflow.cli import read_sweep_csv, write_sweep_csv
+from kvflow.core import Request, RequestClass, nearest_rank
 from kvflow.engine import event_rows, run
 from kvflow.metrics import (
     CSV_FIELDS,
     MetricsReport,
     compute_metrics,
     least_squares_slope,
-    nearest_rank,
-    read_metrics_csv,
     recompute_from_events,
-    stability_estimate,
-    write_metrics_csv,
 )
 from kvflow.policies import FixedSchedule, make_policy
 from kvflow.workload import WorkloadSpec, generate_arrivals
@@ -187,17 +184,18 @@ class TestSerialization:
 
     def test_csv_round_trip(self, tmp_path):
         reports = self.make_reports()
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv(reports, path)
-        assert read_metrics_csv(path) == reports
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(reports, path)
+        assert read_sweep_csv(path)[0] == reports
 
     def test_csv_round_trip_zero_completions(self, tmp_path):
         m = report_from()
-        path = tmp_path / "metrics.csv"
-        write_metrics_csv([m], path)
-        (back,) = read_metrics_csv(path)
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv([m], path)
+        (back,), (aggregate,) = read_sweep_csv(path)
         assert back == m
         assert back.p95_latency is None
+        assert aggregate["avg_latency"] == aggregate["p95_latency"] == ""
 
     def test_json_is_loadable(self, tmp_path):
         reports = self.make_reports()
@@ -211,7 +209,7 @@ class TestSerialization:
         path = tmp_path / "other.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
-            read_metrics_csv(path)
+            read_sweep_csv(path)
 
     def test_rejects_short_row(self):
         with pytest.raises(ValueError):
@@ -314,63 +312,6 @@ class TestEventLogRecompute:
     def test_rejects_inconsistent_log(self, log, message):
         with pytest.raises(ValueError, match=message):
             recompute_from_events(log, kv_capacity=10, horizon=3)
-
-
-class TestStabilityEstimate:
-    def synthetic_result(self, waiting, horizon=None):
-        waiting = np.asarray(waiting, dtype=np.int64)
-        horizon = horizon or len(waiting)
-        zeros = np.zeros(len(waiting), dtype=np.int64)
-        empty = np.array([], dtype=np.int64)
-        return type(
-            "R",
-            (),
-            {
-                "unfinished": lambda self_: waiting + zeros,
-                "horizon": horizon,
-            },
-        )()
-
-    def test_constant_is_stable(self):
-        r = self.synthetic_result([5] * 2000)
-        est = stability_estimate(r)
-        assert est.slope == 0.0
-        assert est.verdict == "stable"
-        assert est.window == 1000
-
-    def test_linear_growth_detected(self):
-        r = self.synthetic_result(list(range(1, 2001)))
-        est = stability_estimate(r)
-        assert est.slope == pytest.approx(1.0)
-        assert est.verdict == "growing"
-
-    def test_early_burst_ignored(self):
-        # growth confined to the first half does not trip the verdict
-        series = list(range(1000)) + [999] * 1000
-        est = stability_estimate(self.synthetic_result(series))
-        assert est.verdict == "stable"
-
-    def test_short_run_inconclusive(self):
-        r = self.synthetic_result(list(range(500)))
-        est = stability_estimate(r)
-        assert est.verdict == "inconclusive"
-        assert est.slope == pytest.approx(1.0)
-
-    def test_threshold_respected(self):
-        series = [t // 100 for t in range(2000)]  # slope 0.01
-        est = stability_estimate(self.synthetic_result(series), threshold=0.02)
-        assert est.verdict == "stable"
-        est = stability_estimate(self.synthetic_result(series), threshold=0.005)
-        assert est.verdict == "growing"
-
-    def test_engine_run_stable_case(self):
-        spec = WorkloadSpec.synthetic(
-            [RequestClass(2, 2, Fraction(1, 4))], horizon=1500, seed=3
-        )
-        result = run(
-            generate_arrivals(spec, seed=3), make_policy("mc"), kv_capacity=200
-        )
-        assert stability_estimate(result).verdict == "stable"
 
 
 class TestCsvFieldOrder:

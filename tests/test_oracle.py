@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from kvflow import oracle
-from kvflow.metrics import nearest_rank
+from kvflow.core import nearest_rank
 from kvflow.oracle import (
     HORIZON_CAP,
     OBJECTIVES,
@@ -26,7 +26,6 @@ from kvflow.oracle import (
     solve,
     verify_policy_dominance,
     weakly_dominates,
-    write_failure_json,
 )
 from kvflow.policies import make_policy
 
@@ -276,28 +275,25 @@ class TestPolicyDominance:
                 rep = verify_policy_dominance(inst, pol, seed=1)
                 assert rep.ok, (inst, pol.name, rep.as_dict())
 
-    def test_report_carries_both_sides(self, tmp_path):
+    def test_report_carries_both_sides(self):
         inst = OfflineInstance.build([(1, 2, 1)], 10, 5, "token_throughput")
         rep = verify_policy_dominance(inst, make_policy("mc"))
         assert rep.ok
         assert rep.oracle_schedule == {1: 1}
         assert any(kind == "activate" for _, kind, _, _ in rep.policy_events)
-        path = tmp_path / "failure.json"
-        write_failure_json(inst, rep, path)
-        doc = json.loads(path.read_text())
-        assert doc["instance"]["kv_capacity"] == 10
-        assert doc["report"]["ok"] is True
+        assert inst.as_dict()["kv_capacity"] == 10
+        assert rep.as_dict()["ok"] is True
 
-    def test_failure_file_lists_one_row_per_event(self, tmp_path):
+    def test_failure_file_lists_one_row_per_event(self):
         # the report keeps the run's log with one decode entry per slot, and
-        # the failure file lists one row per event: these rows and bytes
-        # are what a log of one entry per row wrote
+        # a failure document (instance and report, as JSON) lists one row
+        # per event: these rows and bytes are what a log of one entry per
+        # row wrote
         inst = OfflineInstance.build([(2, 3, 1), (1, 4, 1), (2, 2, 2), (3, 2, 3)], 14, 10, "avg_latency")
         rep = verify_policy_dominance(inst, make_policy("flow_scalar", {"budget": 2}), seed=1)
         assert (3, "decode_step", (1, 2, 3), 13) in rep.policy_events
         assert sum(kind == "activate" for _, kind, _, _ in rep.policy_events) == 5
-        path = tmp_path / "failure.json"
-        write_failure_json(inst, rep, path)
+        doc = json.dumps({"instance": inst.as_dict(), "report": rep.as_dict()}, indent=1) + "\n"
         rows = [
             [1, "arrive", 1, 0], [1, "arrive", 2, 0], [1, "activate", 1, 3], [1, "activate", 2, 5],
             [1, "decode_step", 1, 5], [1, "decode_step", 2, 5],
@@ -309,8 +305,8 @@ class TestPolicyDominance:
             [4, "activate", 4, 9], [4, "decode_step", 2, 9], [4, "decode_step", 4, 9], [4, "complete", 2, 4],
             [5, "decode_step", 4, 5], [5, "complete", 4, 0],
         ]
-        assert json.loads(path.read_text())["report"]["policy_events"] == rows
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert json.loads(doc)["report"]["policy_events"] == rows
+        digest = hashlib.sha256(doc.encode()).hexdigest()
         assert digest == "bf02e208e06a9cbb1187aa06e510e112754a6597eb80fbe5e3a9f20f1e1afcfa"
 
     def test_oracle_vs_oracle_equality(self):

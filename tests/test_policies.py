@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kvflow.core import Request, WaitingQueue, peak_projection
+from kvflow.core import Request, RequestClass, WaitingQueue, peak_projection
 from kvflow.engine import Engine, run as engine_run
 from kvflow.policies import (
     ActivationDecision,
     AdmissionPlanner,
     AdaptivePrediction,
     AlphaProtection,
-    BudgetSpec,
     FixedSchedule,
     MemoryConstrained,
     PerClassFlowControl,
@@ -26,6 +24,7 @@ from kvflow.policies import (
     ShortestFirstMemoryConstrained,
     make_policy,
 )
+from kvflow.workload import WorkloadSpec
 
 
 def waiting_req(req_id, prompt_len, decode_len, arrival=1, class_id=None, known=True):
@@ -97,6 +96,14 @@ class TestPerClassFlowControl:
         p.reset()
         with pytest.raises(Exception, match="class id"):
             p.decide(view_of(1, 100, [waiting_req(1, 5, 5, class_id=7)], policy=p))
+
+    def test_applicable_needs_one_budget_per_class(self):
+        classes = [RequestClass(5, 5, 1)] * 3
+        spec = WorkloadSpec.synthetic(classes, horizon=10)
+        assert PerClassFlowControl(budgets=(1, 1, 1)).applicable(spec) is None
+        for budgets in ((1, 1), (1, 1, 1, 1)):
+            reason = PerClassFlowControl(budgets=budgets).applicable(spec)
+            assert reason == f"needs one budget per class, got {len(budgets)} for 3 classes"
 
     def test_never_evicts_by_design_but_falls_back_safely(self):
         # the inherited fallback still produces a valid decision if a
@@ -276,7 +283,7 @@ class TestMemoryConstrained:
             kv = rng.randint(10, 80)
             view = view_of(clock, kv, waiting, active)
 
-            ref = AdmissionPlanner((), kv, clock=clock)
+            ref = AdmissionPlanner(kv, clock=clock)
             for av in view.iter_active():
                 x = av.decode_len if av.decode_len is not None else max(assume, av.generated + 1)
                 ref.bootstrap(av.id, av.prompt_len, av.generated, x, exact=av.decode_len is not None)
@@ -458,6 +465,15 @@ class TestAdaptivePrediction:
         assert d1.to_activate == d2.to_activate == [1]
 
 
+def planner_of(entries, kv_capacity):
+    """A planner holding entries, (prompt_len, generated, decode_len)
+    triples, as active requests 1..n booked under their true lengths."""
+    planner = AdmissionPlanner(kv_capacity)
+    for rid, (l, g, o) in enumerate(entries, 1):
+        planner.bootstrap(rid, l, g, o)
+    return planner
+
+
 class TestAdmissionPlanner:
     def test_matches_peak_projection(self):
         rng = random.Random(31)
@@ -468,7 +484,7 @@ class TestAdmissionPlanner:
                 g = rng.randint(0, o - 1)
                 entries.append((rng.randint(1, 40), g, o))
             horizon = rng.randint(1, 30)
-            planner = AdmissionPlanner(entries, kv_capacity=10**9)
+            planner = planner_of(entries, 10**9)
             assert planner.projection(horizon) == peak_projection(entries, horizon)
 
     def test_feasibility_equals_bruteforce(self):
@@ -480,23 +496,23 @@ class TestAdmissionPlanner:
                 g = rng.randint(0, o - 1)
                 entries.append((rng.randint(1, 30), g, o))
             m = rng.randint(10, 120)
-            planner = AdmissionPlanner(entries, kv_capacity=m)
+            planner = planner_of(entries, m)
             l, o = rng.randint(1, 30), rng.randint(1, 15)
             proj = peak_projection(entries, o)
             brute = all(proj[d - 1] + l + d <= m for d in range(1, o + 1))
             assert planner.feasible(l, o) == brute
 
     def test_admission_tightens_monotonically(self):
-        planner = AdmissionPlanner([], kv_capacity=29)
+        planner = AdmissionPlanner(29)
         assert planner.feasible(10, 5)
-        planner.admit(10, 5)
+        planner.admit(10, 5, req_id=1)
         # second identical candidate would peak at 2 * 15 = 30 > 29
         assert not planner.feasible(10, 5)
         # a tiny one-shot candidate still fits: 11 + 5 = 16 at offset 1
         assert planner.feasible(4, 1)
         # exact boundary: joint peak 30 fits capacity 30
-        boundary = AdmissionPlanner([], kv_capacity=30)
-        boundary.admit(10, 5)
+        boundary = AdmissionPlanner(30)
+        boundary.admit(10, 5, req_id=1)
         assert boundary.feasible(10, 5)
 
     def test_long_windows_match_bruteforce(self):
@@ -508,7 +524,7 @@ class TestAdmissionPlanner:
                 g = rng.randint(0, o - 1)
                 entries.append((rng.randint(1, 30), g, o))
             m = rng.randint(50, 900)
-            planner = AdmissionPlanner(entries, kv_capacity=m)
+            planner = planner_of(entries, m)
             for _ in range(4):
                 l, x = rng.randint(1, 30), rng.randint(1, 45)
                 proj = peak_projection(entries, x)
@@ -528,14 +544,14 @@ class TestAdmissionPlanner:
             m = rng.randint(30, 600)
             l, x = rng.randint(1, 20), rng.randint(1, 30)
             limit = rng.randint(0, 12)
-            probe = AdmissionPlanner(entries, kv_capacity=m)
+            probe = planner_of(entries, m)
             before = probe.projection(30)
             bulk = probe.max_admissible(l, x, limit)
             assert probe.projection(30) == before  # read-only query
-            greedy = AdmissionPlanner(entries, kv_capacity=m)
+            greedy = planner_of(entries, m)
             count = 0
             while count < limit and greedy.feasible(l, x):
-                greedy.admit(l, x)
+                greedy.admit(l, x, req_id=1000 + count)
                 count += 1
             assert bulk == count
 
@@ -549,10 +565,10 @@ class TestAdmissionPlanner:
                 entries.append((rng.randint(1, 20), g, o))
             l, x = rng.randint(1, 20), rng.randint(1, 30)
             k = rng.randint(1, 5)
-            one = AdmissionPlanner(entries, kv_capacity=10**9)
+            one = planner_of(entries, 10**9)
             for i in range(k):
                 one.admit(l, x, req_id=1000 + i, exact=True)
-            many = AdmissionPlanner(entries, kv_capacity=10**9)
+            many = planner_of(entries, 10**9)
             many.admit_many(k, l, x, req_ids=range(1000, 1000 + k), exact=True)
             assert one.projection(40) == many.projection(40)
             for rid in range(1000, 1000 + k):
@@ -562,7 +578,7 @@ class TestAdmissionPlanner:
 
 
     def test_admit_many_needs_one_id_per_candidate(self):
-        planner = AdmissionPlanner((), kv_capacity=100)
+        planner = AdmissionPlanner(100)
         with pytest.raises(ValueError, match="1 ids name 2 candidates"):
             planner.admit_many(2, 3, 3, req_ids=[7])
         assert not planner.tracked(7) and planner.take_booked() == []
@@ -571,7 +587,7 @@ class TestAdmissionPlanner:
     def test_complete_keeps_the_last_slot_and_frees_the_rest(self, dense):
         # finishes on schedule (1), early (2) and overdue (3) in slot 2:
         # each still counts at the end of slot 2, and nowhere later
-        planner = AdmissionPlanner((), kv_capacity=10**9, clock=0)
+        planner = AdmissionPlanner(10**9)
         planner.admit(5, 3, req_id=1, exact=True)
         planner.admit(4, 10, req_id=2, exact=False)
         planner.admit(3, 1, req_id=3, exact=False)
@@ -601,7 +617,7 @@ class TestAdmissionPlanner:
         rng = random.Random(4242)
         shifts = 0
         for _ in range(24):
-            planner = AdmissionPlanner((), kv_capacity=10**9, clock=0)
+            planner = AdmissionPlanner(10**9)
             live = {}  # id -> (prompt_len, activation slot, true length, assumed length, exact)
             next_id = 1
             for clock in range(70):
@@ -653,13 +669,6 @@ class TestFactoryAndSpec:
             make_policy("flow_scalar", {})
         with pytest.raises(ValueError, match="unexpected parameters"):
             make_policy("mc_sf", {"budget": 3})
-
-    def test_budget_spec(self):
-        s = BudgetSpec.for_scalar(2.5)
-        assert s.scalar == Fraction(5, 2)
-        assert s.cap == 3
-        s2 = BudgetSpec.for_classes([4, 4, 4])
-        assert s2.per_class == (4, 4, 4)
 
     def test_fixed_schedule(self):
         p = FixedSchedule({1: [1], 3: [2]})

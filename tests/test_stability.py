@@ -159,6 +159,16 @@ class TestDecimalFloats:
         assert ScalarFlowControl(budget=0.1).budget == Fraction(1, 10)
         assert make_policy("flow_scalar", {"budget": 0.1}).budget == Fraction(1, 10)
 
+    def test_spec_reads_one_tenth_alike_through_classes_and_rate(self):
+        # the same workload, analysed through its classes and through its
+        # length distribution and total rate, lands on the boundary both ways
+        spec = WorkloadSpec.synthetic([RequestClass(9, 1, 0.1)], 100)
+        assert spec.total_rate() == Fraction(1, 10)
+        by_classes = build_report(1, classes=spec.classes)
+        by_rate = build_report(1, length_dist=spec.length_distribution(), rate=spec.total_rate())
+        assert by_classes.necessary.boundary
+        assert by_rate.necessary.boundary
+
 
 class TestOverflowBound:
     def test_hand_derived_constant(self):
