@@ -39,7 +39,7 @@ from kvflow import metrics, oracle, presets, stability, workload
 from kvflow.core import EngineError, as_fraction
 from kvflow.engine import run as engine_run, write_events_csv
 from kvflow.oracle import OBJECTIVES
-from kvflow.policies import POLICY_NAMES, make_policy
+from kvflow.policies import POLICY_NAMES, PerClassFlowControl, Policy, ScalarFlowControl, make_policy
 from kvflow.stability import _SEARCH_PARAM
 from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
 
@@ -289,12 +289,20 @@ def load_experiment(path: str, args, mode: str) -> ExperimentConfig:
     )
 
 
-def _require_applicable(name: str, params: dict, spec: WorkloadSpec, where: str = "") -> None:
-    """Raise ConfigError naming 'policy' when the policy cannot run on the
-    workload (compare writes a 'no: ...' row instead)."""
-    reason = make_policy(name, params).applicable(spec)
+def _require_applicable(
+    name: str, params: dict, spec: WorkloadSpec, where: str = "", label: str = "policy.params"
+) -> Policy:
+    """Build the policy; raise ConfigError naming label when its constructor
+    rejects params, and naming 'policy' when it cannot run on the workload
+    (compare writes a 'no: ...' row instead)."""
+    try:
+        policy = make_policy(name, params)
+    except ValueError as exc:
+        raise ConfigError(f"field '{label}': {exc}") from None
+    reason = policy.applicable(spec)
     if reason is not None:
         raise ConfigError(f"field 'policy': {name}{where} cannot run on this workload: {reason}")
+    return policy
 
 
 def _single_config_path(args) -> str:
@@ -354,17 +362,9 @@ def _fnum(value) -> Optional[float]:
 
 def _run_task(task):
     """One (spec, policy, seed) run; module-level so worker processes can import it."""
-    spec, name, params, kv_capacity, seed, record_events, track = task
+    spec, name, params, kv_capacity, seed, record_events = task
     arrivals = generate_arrivals(spec, seed)
-    policy = make_policy(name, params)
-    result = engine_run(
-        arrivals,
-        policy,
-        kv_capacity,
-        seed=seed,
-        record_events=record_events,
-        track_classes=track,
-    )
+    result = engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed, record_events=record_events)
     return result, metrics.compute_metrics(result)
 
 
@@ -374,11 +374,11 @@ def _compare_task(task):
     Per policy, in order: its usage series and metrics. The rest of a run
     is dropped before the next one starts.
     """
-    spec, policies, kv_capacity, seed, track = task
+    spec, policies, kv_capacity, seed = task
     arrivals = generate_arrivals(spec, seed)
     outs = []
     for name, params in policies:
-        result = engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed, track_classes=track)
+        result = engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed)
         outs.append((result.usage, metrics.compute_metrics(result)))
         del result
     return outs
@@ -470,11 +470,7 @@ def cmd_run(args) -> int:
     cfg = load_experiment(_single_config_path(args), args, mode="single")
     name, params = cfg.policies[0]
     _require_applicable(name, params, cfg.spec)
-    track = len(cfg.spec.classes) if cfg.spec.classes else None
-    tasks = [
-        (cfg.spec, name, params, cfg.kv_capacity, seed, cfg.emit["event_log"], track)
-        for seed in cfg.seeds
-    ]
+    tasks = [(cfg.spec, name, params, cfg.kv_capacity, seed, cfg.emit["event_log"]) for seed in cfg.seeds]
     reports = []
     for result, report in _map_tasks(_run_task, tasks, args.jobs):
         # written as it arrives: only the report outlives a seed's run
@@ -600,12 +596,11 @@ def cmd_compare(args) -> int:
     policies = [p for cfg in cfgs for p in cfg.policies]
     labels = _policy_labels(policies)
     spec, seeds, kv = base.spec, base.seeds, base.kv_capacity
-    track = len(spec.classes) if spec.classes else None
     out = args.out and Path(args.out) or base.out_dir
     reasons = [make_policy(name, params).applicable(spec) for name, params in policies]
     runnable = [p for p, reason in zip(policies, reasons) if reason is None]
     # one task per seed runs every applicable policy on that seed's stream
-    tasks = [(spec, runnable, kv, seed, track) for seed in seeds]
+    tasks = [(spec, runnable, kv, seed) for seed in seeds]
     per_seed = list(_map_tasks(_compare_task, tasks, args.jobs)) if runnable else []
     by_policy = zip(*per_seed)
     rows: List[dict] = []
@@ -653,16 +648,10 @@ def cmd_compare(args) -> int:
 def cmd_stability(args) -> int:
     cfg = load_experiment(_single_config_path(args), args, mode="analysis")
     spec = cfg.spec
-    budgets = None
-    scalar_budget = None
-    activation_cap = None
-    if cfg.policies:
-        name, params = cfg.policies[0]
-        if name == "flow_per_class":
-            budgets = params.get("budgets")
-        elif name == "flow_scalar":
-            scalar_budget = params.get("budget")
-            activation_cap = params.get("cap")
+    policy = _require_applicable(*cfg.policies[0], spec) if cfg.policies else None
+    budgets = policy.budgets if isinstance(policy, PerClassFlowControl) else None
+    scalar_budget = policy.budget if isinstance(policy, ScalarFlowControl) else None
+    activation_cap = policy.cap if isinstance(policy, ScalarFlowControl) else None
     if spec.outputs_known and spec.classes is not None:
         report = stability.build_report(cfg.kv_capacity, classes=spec.classes, budgets=budgets)
     else:
@@ -739,8 +728,10 @@ def cmd_budget_search(args) -> int:
     base_params = dict(params)
     param = _SEARCH_PARAM[name]
     base_params.pop(param, None)
-    for point in grid:
-        _require_applicable(name, {**base_params, param: point}, cfg.spec, f" with {param} {point}")
+    for i, point in enumerate(grid):
+        _require_applicable(
+            name, {**base_params, param: point}, cfg.spec, f" with {param} {point}", f"search.grid[{i}]"
+        )
     result = stability.budget_search(
         cfg.spec,
         cfg.kv_capacity,

@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -245,8 +246,8 @@ class Engine:
         record_events: bool = False,
         track_classes: Optional[int] = None,
     ) -> None:
-        if kv_capacity <= 0:
-            raise ValueError(f"kv_capacity must be positive, got {kv_capacity}")
+        if not isinstance(kv_capacity, Integral) or kv_capacity <= 0:
+            raise ValueError(f"kv_capacity must be a positive integer, got {kv_capacity!r}")
         self.policy = policy
         self.state = SimState(kv_capacity, seed, waiting=WaitingQueue(policy.group_key))
         self.record_events = record_events
@@ -478,7 +479,8 @@ def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Reque
     """Yield each slot of a hand-built stream sorted by (arrival_slot, id),
     the order the waiting queue takes arrivals in. Generated streams are
     built in it. A slot that orders before a request of an earlier slot,
-    or an id that arrived before, is an error."""
+    an id that arrived before, or a prompt or decode length that is not an
+    integer of at least 1 is an error."""
     last = None
     seen = set()
     for slot_requests in slots:
@@ -495,6 +497,10 @@ def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Reque
                 if r.id in seen:
                     raise EngineError(f"duplicate request id {r.id}")
                 seen.add(r.id)
+                for name in ("prompt_len", "decode_len"):
+                    value = getattr(r, name)
+                    if not isinstance(value, Integral) or value < 1:
+                        raise ValueError(f"request {r.id} has {name} {value!r}; it must be an integer >= 1")
         yield ordered
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from operator import add, attrgetter, floordiv, sub
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -806,13 +806,55 @@ class MemoryConstrained(Policy):
         return ActivationDecision(acts)
 
 
+def _skip_scan(
+    ledger: AdmissionPlanner, groups: Iterable[WaitingGroup], shortest_first: bool, exact: bool
+) -> List[int]:
+    """Admit waiting requests from groups keyed (prompt_len, assumed_len),
+    skipping past any that do not fit; the ids admitted, in order.
+
+    Candidates are taken shortest assumed length first when shortest_first,
+    then by (arrival_slot, id). Every waiting request of a group shares
+    feasibility within a slot, so the scan walks one head per group instead
+    of the whole queue: a group whose head does not fit is skipped for the
+    rest of the slot, and one whose head fits is admitted in bulk up to the
+    point where the next head of equal rank interleaves.
+    """
+    # ids are unique, so comparisons never reach the group
+    heap = []
+    for group in groups:
+        if group:
+            head = group.head()
+            heap.append((group.key[1] if shortest_first else 0, head.arrival_slot, head.id, group))
+    heapify(heap)
+    taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
+    acts: List[int] = []
+    while heap:
+        rank, _, _, group = heappop(heap)
+        prompt_len, assumed_len = group.key
+        start = taken.get(group, 0)
+        limit = len(group) - start
+        take = ledger.max_admissible(prompt_len, assumed_len, limit)
+        if take == 0:
+            continue  # head infeasible: skip the whole group this slot
+        if heap and heap[0][0] == rank:
+            limit = group.count_before(heap[0][1], heap[0][2]) - start
+            take = min(take, limit)
+        run = list(islice(group, start, start + take + 1))  # and the next head
+        ids = [r.id for r in run[:take]]
+        ledger.admit_many(take, prompt_len, assumed_len, req_ids=ids, exact=exact)
+        acts.extend(ids)
+        taken[group] = start + take
+        if take < limit or len(run) == take:
+            continue  # the group's next member no longer fits, or there is none
+        heappush(heap, (rank, run[take].arrival_slot, run[take].id, group))
+    return acts
+
+
 class ShortestFirstMemoryConstrained(MemoryConstrained):
     """Memory-constrained admission in ascending output-length order.
 
     Scans candidates shortest decode first (ties by arrival slot, then
-    id) and may skip an infeasible candidate and keep going. Requests
-    with equal (decode_len, prompt_len) share feasibility within a slot,
-    so the scan walks one head per group instead of the whole queue.
+    id) and, unlike mc, skips an infeasible candidate and keeps going.
     """
 
     name = "mc_sf"
@@ -824,43 +866,11 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
     def group_key(self, r: Request) -> Tuple[int, int]:
         if not r.output_known:
             raise PolicyApplicabilityError("shortest-first admission needs visible output lengths")
-        return (r.decode_len, r.prompt_len)
+        return (r.prompt_len, r.decode_len)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        ledger = view.ledger(self)
-        # ids are unique, so comparisons never reach the group
-        heap = []
-        for group in view._waiting_groups().values():
-            if group:
-                head = group.head()
-                heap.append((group.key[0], head.arrival_slot, head.id, group))
-        heapify(heap)
-        taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
-        acts: List[int] = []
-        while heap:
-            decode_len, _, _, group = heappop(heap)
-            prompt_len = group.key[1]
-            start = taken.get(group, 0)
-            limit = len(group) - start
-            take = ledger.max_admissible(prompt_len, decode_len, limit)
-            if take == 0:
-                # every waiting request with this signature is equally
-                # infeasible for the rest of the slot: skip the group
-                continue
-            # admit this group's FIFO run in bulk, up to the point where
-            # another group with the same decode length is due to interleave
-            if heap and heap[0][0] == decode_len:
-                limit = group.count_before(heap[0][1], heap[0][2]) - start
-                take = min(take, limit)
-            run = list(islice(group, start, start + take + 1))  # and the next head
-            ids = [r.id for r in run[:take]]
-            ledger.admit_many(take, prompt_len, decode_len, req_ids=ids, exact=True)
-            acts.extend(ids)
-            taken[group] = start + take
-            if take < limit or len(run) == take:
-                continue  # the group's next member no longer fits, or there is none
-            heappush(heap, (decode_len, run[take].arrival_slot, run[take].id, group))
-        return ActivationDecision(acts)
+        groups = view._waiting_groups().values()
+        return ActivationDecision(_skip_scan(view.ledger(self), groups, shortest_first=True, exact=True))
 
 
 class AdaptivePrediction(Policy):
@@ -903,42 +913,13 @@ class AdaptivePrediction(Policy):
         return self.prediction(req_id)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        ledger = view.ledger(self)
+        groups = view._waiting_groups().values()
+        acts = _skip_scan(view.ledger(self), groups, shortest_first=False, exact=False)
         pred = self._pred
-        # ids are unique, so comparisons never reach the group
-        heap = []
-        for group in view._waiting_groups().values():
-            if group:
-                head = group.head()
-                heap.append((head.arrival_slot, head.id, group))
-        heapify(heap)
-        taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
-        acts: List[int] = []
-        while heap:
-            _, _, group = heappop(heap)
-            prompt_len, predicted = group.key
-            start = taken.get(group, 0)
-            limit = len(group) - start
-            take = ledger.max_admissible(prompt_len, predicted, limit)
-            if take == 0:
-                continue  # head infeasible: skip the whole group this slot
-            # the group's next members stay ahead of every other candidate
-            # until the best other head interleaves: admit that run in bulk
-            if heap:
-                limit = group.count_before(heap[0][0], heap[0][1]) - start
-                take = min(take, limit)
-            run = list(islice(group, start, start + take + 1))  # and the next head
-            ids = [r.id for r in run[:take]]
-            ledger.admit_many(take, prompt_len, predicted, req_ids=ids, exact=False)
-            if predicted != self.min_output:
-                # raised by an eviction: the ledger holds it from now on
-                for rid in ids:
-                    del pred[rid]
-            acts.extend(ids)
-            taken[group] = start + take
-            if take < limit or len(run) == take:
-                continue  # the next member no longer fits, or there is none
-            heappush(heap, (run[take].arrival_slot, run[take].id, group))
+        if pred:
+            # a raised prediction is booked in the ledger from now on
+            for rid in acts:
+                pred.pop(rid, None)
         return ActivationDecision(acts)
 
     def evict(self, view: PolicyView, required_release: int) -> EvictionDecision:

@@ -448,9 +448,9 @@ class TestCompare:
 
 
 class TestApplicability:
-    """run and budget-search refuse a policy that cannot run on the workload
-    (exit 2, naming the 'policy' field); compare writes a 'no: ...' row for
-    it and runs the rest."""
+    """run, stability and budget-search refuse a policy that cannot run on
+    the workload (exit 2, naming the 'policy' field); compare writes a
+    'no: ...' row for it and runs the rest."""
 
     FLOW_PER_CLASS = {"name": "flow_per_class", "params": {"budgets": [2, 2]}}
 
@@ -479,6 +479,22 @@ class TestApplicability:
         err = capsys.readouterr().err
         assert "field 'policy': flow_per_class with budgets (1, 1) cannot run" in err
         assert "needs class structure" in err
+
+    def test_stability_flow_per_class_on_trace(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.trace_config())
+        assert cli.main(["stability", "-c", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'policy': flow_per_class cannot run on this workload: needs class structure" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_stability_budget_count_must_match_classes(self, tmp_path, capsys):
+        doc = base_config(policy=self.FLOW_PER_CLASS)
+        doc["workload"]["classes"].append({"prompt_len": 3, "decode_len": 2, "rate": 1})
+        cfg = write_config(tmp_path, doc)
+        assert cli.main(["stability", "-c", cfg, "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'policy': flow_per_class cannot run on this workload" in err
+        assert "needs one budget per class, got 2 for 3 classes" in err
 
     @pytest.mark.parametrize("count", [2, 4])
     def test_compare_budget_count_must_match_classes(self, tmp_path, capsys, count):
@@ -617,6 +633,13 @@ class TestBudgetSearch:
         assert cli.main(["budget-search", "-c", write_config(tmp_path, doc), "--out", str(out)]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["best_budget"] in ([1], [2])
+
+    def test_grid_value_the_policy_rejects(self, tmp_path, capsys):
+        doc = self.search_config(objective="avg_latency", grid=[1, 0])
+        out = tmp_path / "out"
+        assert cli.main(["budget-search", "-c", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "field 'search.grid[1]': budget must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_objective(self, tmp_path, capsys):
         doc = self.search_config(objective="goodput", grid=[1])

@@ -308,6 +308,24 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             Engine(FixedSchedule({}), kv_capacity=0)
 
+    def test_fractional_capacity_rejected(self):
+        with pytest.raises(ValueError, match="kv_capacity must be a positive integer, got 100.5"):
+            Engine(FixedSchedule({}), kv_capacity=100.5)
+
+    @pytest.mark.parametrize(
+        "prompt_len, decode_len, bad",
+        [
+            (2, 0, "decode_len 0"),
+            (-5, 3, "prompt_len -5"),
+            (2.5, 3, "prompt_len 2.5"),
+            (2, 1.5, "decode_len 1.5"),
+        ],
+    )
+    def test_request_lengths_must_be_integers_of_at_least_one(self, prompt_len, decode_len, bad):
+        arrivals = [[req(1, 2, 3, 1), req(2, prompt_len, decode_len, 1)], [], []]
+        with pytest.raises(ValueError, match=f"request 2 has {bad}; it must be an integer >= 1"):
+            run(arrivals, FixedSchedule({1: [1, 2]}), kv_capacity=100)
+
 
 class TestArrivalOrder:
     """A hand-built slot may list its requests in any order; run() queues
