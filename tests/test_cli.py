@@ -1,6 +1,7 @@
 """Command-line interface tests: config validation, outputs, exit codes."""
 
 import csv
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -662,6 +663,91 @@ class TestBudgetSearch:
         doc["policy"] = {"name": "mc", "params": {}}
         assert cli.main(["budget-search", "-c", write_config(tmp_path, doc)]) == cli.EXIT_CONFIG
         assert "'policy.name'" in capsys.readouterr().err
+
+
+class TestAnalysisArtifactsPinned:
+    """stability.json of every shipped config under each of its policies that
+    can run there (and under none), and search.json and search.csv of
+    budget-search with int, fraction-string, float and list grid points:
+    digests recorded before the policies declared their parameters."""
+
+    CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+    # (config, policy or None, sha256 of stability.json)
+    STABILITY = [
+        ('synthetic_known', None, '17b96a4d53afb44fba025d4e71cdce7611685996c93dde8d31f16ba75a7acf62'),
+        ('synthetic_known', 'flow_per_class', 'fe7a6124b676ddb20a0c4d134b42924f4e6c747d5f3882ac0aeb14ab48632283'),
+        ('synthetic_overloaded', None, '0a066484ad379d71d158ce91a99faf15e25b065d102aec19082399119264ff44'),
+        ('synthetic_overloaded', 'flow_per_class', '702278aeb4ff10242e252aa1758ecd0f351cc5bb233bed82772d7020f8c6199d'),
+        ('synthetic_overloaded', 'flow_scalar', '0a066484ad379d71d158ce91a99faf15e25b065d102aec19082399119264ff44'),
+        ('synthetic_overloaded', 'alpha_protection', '0a066484ad379d71d158ce91a99faf15e25b065d102aec19082399119264ff44'),
+        ('synthetic_overloaded', 'mc', '0a066484ad379d71d158ce91a99faf15e25b065d102aec19082399119264ff44'),
+        ('synthetic_overloaded', 'mc_sf', '0a066484ad379d71d158ce91a99faf15e25b065d102aec19082399119264ff44'),
+        ('synthetic_overloaded', 'amin', '0a066484ad379d71d158ce91a99faf15e25b065d102aec19082399119264ff44'),
+        ('synthetic_unknown', None, '17b96a4d53afb44fba025d4e71cdce7611685996c93dde8d31f16ba75a7acf62'),
+        ('synthetic_unknown', 'flow_scalar', '838f6efe5b222d9e576287b37cd90f572183413f1583c28ac73320ffb9c7d224'),
+        ('trace_high', None, '07287736eea28d4e69aa7d748f2f0bddc1894e0e5ea64c986ad043bb459d7acc'),
+        ('trace_high', 'flow_scalar', '07287736eea28d4e69aa7d748f2f0bddc1894e0e5ea64c986ad043bb459d7acc'),
+        ('trace_high', 'alpha_protection', '07287736eea28d4e69aa7d748f2f0bddc1894e0e5ea64c986ad043bb459d7acc'),
+        ('trace_high', 'mc', '07287736eea28d4e69aa7d748f2f0bddc1894e0e5ea64c986ad043bb459d7acc'),
+        ('trace_high', 'amin', '07287736eea28d4e69aa7d748f2f0bddc1894e0e5ea64c986ad043bb459d7acc'),
+        ('trace_low', None, '1118c0ee78177c2679516eceac88b86fffe630d9a12daa3749e4aae693c0893b'),
+        ('trace_low', 'flow_scalar', '1118c0ee78177c2679516eceac88b86fffe630d9a12daa3749e4aae693c0893b'),
+        ('trace_low', 'alpha_protection', '1118c0ee78177c2679516eceac88b86fffe630d9a12daa3749e4aae693c0893b'),
+        ('trace_low', 'mc', '1118c0ee78177c2679516eceac88b86fffe630d9a12daa3749e4aae693c0893b'),
+        ('trace_low', 'amin', '1118c0ee78177c2679516eceac88b86fffe630d9a12daa3749e4aae693c0893b'),
+    ]
+
+    GRIDS = {
+        "flow_scalar": [1, "3/2", 2.5, 3],
+        "flow_per_class": [[0, 0], [1, 1], [2, 1]],
+        "alpha_protection": ["99/100", 0.5, 0],
+        "amin": [1000, 1, 3],
+    }
+    # (policy, objective, sha256 of search.json, sha256 of search.csv)
+    SEARCH = [
+        ('flow_scalar', 'avg_latency', '2b85433f4d9a6ff2e826a2f8da28e0967c7a68cd4d412eb03bd375f245efb72c', 'afc3d8332a716f67237a490c6f483e6ee110d7bf782242475d5afbc1877d90dd'),
+        ('flow_scalar', 'request_throughput', '3591502bdf1530d322c1c6b559316af52f0ee0953c277794dc27e9b9f9354356', '428851b9a44e69c806272e71c53800f1530b7382afabe8fce6f1784bd51d25d2'),
+        ('flow_per_class', 'avg_latency', '8d1b844aa8966e4edd640948335671cb2ac0d735511cfe66df65d06383e11b1b', '8930e6f6c8a57c7951e85abd4fda76e1098c903096976c08036908ce81c505c7'),
+        ('flow_per_class', 'request_throughput', 'f3955cadbdd7f4a77e08d044e57cd1a7b38301ee536d0ac859f342f392aef5ea', 'faf6a57214890d12871ee7893d46dddbc3938b6fd70c0f4fa0244e11b7cf643b'),
+        ('alpha_protection', 'avg_latency', 'b8783452dce0b9c1ae023716ec78cef3b791ad281fa6d1fd09febbd60ba4e02b', '592f4658dbd7cb3bf2df4f6729d90018af8bf25543ec4d78f75b3e685e79d881'),
+        ('alpha_protection', 'request_throughput', 'a2b9e7e5a5b510fe87c418512215e9fced9ce008e594f120490734e03a1211e4', 'c81445535df8d1946477869a6858e4c08f03ee98431a4cf690d283336546af84'),
+        ('amin', 'avg_latency', 'caccc5c0285a50922fe6b72649d7fc4e25d3183bc18ba376db370c2b4eebd546', '8c30964fca27d2681eecaf9d8d74a6c95a2bd4b5110da38ef0953221dc49a79c'),
+        ('amin', 'request_throughput', '461a7253f96f36fc0707d0c7511ebb9fdeea7c9fa38138c98c7d5caa0a3e7739', '094d6f6085de8106ada645bf415c1968c678443d30e88384f5b7d8dfa577b9fa'),
+    ]
+
+    @pytest.mark.parametrize("config, policy, digest", STABILITY)
+    def test_stability_json(self, tmp_path, capsys, config, policy, digest):
+        doc = json.loads((self.CONFIG_DIR / f"{config}.json").read_text(encoding="utf-8"))
+        blocks = doc.pop("policies", None) or [doc.pop("policy")]
+        if policy is not None:
+            doc["policy"] = next(b for b in blocks if b["name"] == policy)
+        out = tmp_path / "out"
+        assert cli.main(["stability", "-c", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256((out / "stability.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("policy, objective, json_digest, csv_digest", SEARCH)
+    def test_search_json(self, tmp_path, capsys, monkeypatch, policy, objective, json_digest, csv_digest):
+        doc = {
+            "workload": {
+                "kind": "synthetic",
+                "horizon": 60,
+                "classes": [
+                    {"prompt_len": 2, "decode_len": 3, "rate": "1/2"},
+                    {"prompt_len": 1, "decode_len": 2, "rate": "1/2"},
+                ],
+            },
+            "kv_capacity": 30,
+            "policy": {"name": policy, "params": {}},
+            "seeds": [0, 1],
+            "search": {"objective": objective, "grid": self.GRIDS[policy]},
+        }
+        monkeypatch.chdir(tmp_path)  # search.json names its table by this relative path
+        assert cli.main(["budget-search", "-c", write_config(tmp_path, doc), "--out", "out"]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert hashlib.sha256((tmp_path / "out" / "search.json").read_bytes()).hexdigest() == json_digest
+        assert hashlib.sha256((tmp_path / "out" / "search.csv").read_bytes()).hexdigest() == csv_digest
 
 
 class TestOracle:
