@@ -14,12 +14,11 @@ not a proof.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from kvflow.core import as_fraction, workload_tokens
+from kvflow.core import workload_tokens
 from kvflow.engine import run as engine_run
 from kvflow.metrics import compute_metrics
 from kvflow.policies import make_policy
@@ -124,15 +123,11 @@ def check_budgeted_no_overflow(
             details={"sufficiency": gate.as_dict()},
         )
     bound = gate.budgeted_load
+    policy = make_policy("flow_per_class", {"budgets": budgets})
     per_seed: List[dict] = []
     bad: List[int] = []
     for seed in seeds:
-        res = engine_run(
-            generate_arrivals(spec, seed),
-            make_policy("flow_per_class", {"budgets": tuple(budgets)}),
-            kv_capacity,
-            seed=seed,
-        )
+        res = engine_run(generate_arrivals(spec, seed), policy, kv_capacity, seed=seed)
         ok = res.overflow_slots == 0 and res.eviction_count == 0 and res.max_usage <= bound
         per_seed.append(
             {
@@ -183,18 +178,16 @@ def check_overload_explosion(
         if params is None:
             if budgets is None or spec.classes is None:
                 continue
-            params = {"budgets": tuple(budgets)}
-        if make_policy(name, params).applicable(spec) is None:
-            roster.append((name, params))
+            params = {"budgets": budgets}
+        policy = make_policy(name, params)
+        if policy.applicable(spec) is None:
+            roster.append((name, policy))
     # one stream per seed, replayed under every policy
     measured: List[List[float]] = [[] for _ in roster]  # per policy, one slope per seed
     for seed in seeds:
         arrivals = generate_arrivals(spec, seed)
-        for (name, params), per_seed in zip(roster, measured):
-            report = compute_metrics(
-                engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed)
-            )
-            per_seed.append(report.queue_growth_slope)
+        for (_, policy), per_seed in zip(roster, measured):
+            per_seed.append(compute_metrics(engine_run(arrivals, policy, kv_capacity, seed=seed)).queue_growth_slope)
     slopes: List[dict] = []
     failures: List[str] = []
     for (name, _), per_seed in zip(roster, measured):
@@ -228,8 +221,8 @@ def check_overflow_rarity(
     below capacity produces no observed overflows, and the per-slot
     activation draw never exceeds its cap."""
     claim = "scalar admission with positive load margin never overflows in practice"
-    b = as_fraction(budget)
-    epsilon = 1 - b * spec.length_distribution().mean_workload() / kv_capacity
+    policy = make_policy("flow_scalar", {"budget": budget, "cap": cap})
+    epsilon = 1 - policy.budget * spec.length_distribution().mean_workload() / kv_capacity
     if epsilon <= 0:
         return CheckResult(
             claim,
@@ -237,18 +230,12 @@ def check_overflow_rarity(
             f"load margin epsilon = {float(epsilon):.4f} is not positive",
             details={"epsilon_exact": str(epsilon)},
         )
-    draw_cap = cap if cap is not None else math.ceil(b)
-    params = {"budget": budget} if cap is None else {"budget": budget, "cap": cap}
+    draw_cap = policy.cap
     observed = 0
     cap_breaches: List[int] = []
     per_seed: List[dict] = []
     for seed in seeds:
-        res = engine_run(
-            generate_arrivals(spec, seed),
-            make_policy("flow_scalar", params),
-            kv_capacity,
-            seed=seed,
-        )
+        res = engine_run(generate_arrivals(spec, seed), policy, kv_capacity, seed=seed)
         observed += res.overflow_slots
         if int(res.budgets.max()) > draw_cap:
             cap_breaches.append(seed)

@@ -36,11 +36,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kvflow import metrics, oracle, presets, stability, workload
-from kvflow.core import EngineError, as_fraction
+from kvflow.core import EngineError, as_fraction, rational
 from kvflow.engine import run as engine_run, write_events_csv
 from kvflow.oracle import OBJECTIVES
-from kvflow.policies import POLICY_NAMES, PerClassFlowControl, Policy, ScalarFlowControl, make_policy
-from kvflow.stability import _SEARCH_PARAM
+from kvflow.policies import POLICIES, Policy, make_policy, positive_int
 from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
 
 EXIT_OK = 0
@@ -84,32 +83,24 @@ def _field(doc: dict, key: str, where: str, types, default=_MISSING):
     if types is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"field '{label}' must be a boolean, got {value!r}")
-    elif types is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field '{label}' must be an integer, got {value!r}")
     elif not isinstance(value, types):
         kind = getattr(types, "__name__", None) or "/".join(t.__name__ for t in types)
         raise ConfigError(f"field '{label}' must be a {kind}, got {value!r}")
     return value
 
 
-def _positive_int(doc: dict, key: str, where: str, default=_MISSING) -> int:
-    value = _field(doc, key, where, int, default)
-    if value <= 0:
-        raise ConfigError(f"field '{where}{key}' must be positive, got {value}")
-    return value
+def _positive_int(doc: dict, key: str, where: str) -> int:
+    try:
+        return positive_int(f"field '{where}{key}'", _field(doc, key, where, object))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_rate(value, label: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"field '{label}' must be a number or fraction string, got {value!r}")
     try:
-        rate = as_fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"field '{label}': {value!r} is not a valid rate") from None
-    if rate < 0:
-        raise ConfigError(f"field '{label}' must be nonnegative, got {value!r}")
-    return rate
+        return as_fraction(rational(f"field '{label}'", value, lambda r: r >= 0, "nonnegative"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_workload(doc, where: str = "workload") -> WorkloadSpec:
@@ -164,8 +155,10 @@ def parse_workload(doc, where: str = "workload") -> WorkloadSpec:
     raise ConfigError(f"field '{prefix}kind' must be 'synthetic' or 'trace', got {kind!r}")
 
 
-def parse_policy_block(doc, label: str, validate: bool = True) -> Tuple[str, dict]:
-    """Extract (name, params) from a policy block, optionally dry-building it."""
+def parse_policy_block(doc, label: str, search: bool = False) -> Tuple[str, dict]:
+    """Extract (name, params) from a policy block and check the params. With
+    search, the policy must declare a searched parameter: params leave it out
+    (the grid sets it), and the rest are checked on their own."""
     if not isinstance(doc, dict):
         raise ConfigError(f"field '{label}' must be an object")
     name = _field(doc, "name", label + ".", str)
@@ -173,17 +166,24 @@ def parse_policy_block(doc, label: str, validate: bool = True) -> Tuple[str, dic
         raise ConfigError(
             f"field '{label}.name': the exact offline solver runs through the 'oracle' subcommand"
         )
-    if name not in POLICY_NAMES:
+    if name not in POLICIES:
         raise ConfigError(
-            f"field '{label}.name': unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}"
+            f"field '{label}.name': unknown policy {name!r}; known: {', '.join(POLICIES)}"
         )
-    params = _field(doc, "params", label + ".", dict, {})
-    if validate:
-        try:
+    params = dict(_field(doc, "params", label + ".", dict, {}))
+    searched = POLICIES[name].searched
+    if search and searched is None:
+        searchable = ", ".join(n for n, cls in POLICIES.items() if cls.searched)
+        raise ConfigError(f"field '{label}.name': {name!r} has no searchable parameter; searchable: {searchable}")
+    try:
+        if search:
+            params.pop(searched, None)
+            POLICIES[name].check_params(params, omit=searched)
+        else:
             make_policy(name, params)
-        except ValueError as exc:
-            raise ConfigError(f"field '{label}.params': {exc}") from None
-    return name, dict(params)
+    except ValueError as exc:
+        raise ConfigError(f"field '{label}.params': {exc}") from None
+    return name, params
 
 
 @dataclass
@@ -238,8 +238,8 @@ def load_experiment(path: str, args, mode: str) -> ExperimentConfig:
 
     mode 'single' requires exactly the 'policy' field, 'multi' accepts
     'policy' or a 'policies' list, 'analysis' makes the policy optional,
-    and 'search' skips eager policy construction (the searched parameter
-    comes from the grid, not the config).
+    and 'search' takes one policy without its searched parameter (the
+    grid sets it).
     """
     raw = _load_json(path)
     spec = parse_workload(_field(raw, "workload", "", object))
@@ -254,7 +254,7 @@ def load_experiment(path: str, args, mode: str) -> ExperimentConfig:
                 "'policies' lists belong to compare)"
             )
         block = _field(raw, "policy", "", object)
-        policies.append(parse_policy_block(block, "policy", validate=mode == "single"))
+        policies.append(parse_policy_block(block, "policy", search=mode == "search"))
     elif mode == "multi":
         if "policies" in raw:
             entries = _field(raw, "policies", "", list)
@@ -290,17 +290,19 @@ def load_experiment(path: str, args, mode: str) -> ExperimentConfig:
 
 
 def _require_applicable(
-    name: str, params: dict, spec: WorkloadSpec, where: str = "", label: str = "policy.params"
+    name: str, params: dict, spec: WorkloadSpec, label: str = "policy.params", searched: Optional[str] = None
 ) -> Policy:
-    """Build the policy; raise ConfigError naming label when its constructor
-    rejects params, and naming 'policy' when it cannot run on the workload
-    (compare writes a 'no: ...' row instead)."""
+    """Build the policy; raise ConfigError naming label when params are
+    invalid, and naming 'policy' (with the searched parameter's value, if
+    given) when it cannot run on the workload (compare writes a 'no: ...' row
+    instead)."""
     try:
         policy = make_policy(name, params)
     except ValueError as exc:
         raise ConfigError(f"field '{label}': {exc}") from None
     reason = policy.applicable(spec)
     if reason is not None:
+        where = f" with {searched} {getattr(policy, searched)}" if searched else ""
         raise ConfigError(f"field 'policy': {name}{where} cannot run on this workload: {reason}")
     return policy
 
@@ -648,19 +650,17 @@ def cmd_compare(args) -> int:
 def cmd_stability(args) -> int:
     cfg = load_experiment(_single_config_path(args), args, mode="analysis")
     spec = cfg.spec
-    policy = _require_applicable(*cfg.policies[0], spec) if cfg.policies else None
-    budgets = policy.budgets if isinstance(policy, PerClassFlowControl) else None
-    scalar_budget = policy.budget if isinstance(policy, ScalarFlowControl) else None
-    activation_cap = policy.cap if isinstance(policy, ScalarFlowControl) else None
+    policy = _require_applicable(*cfg.policies[0], spec) if cfg.policies else Policy()
+    declared = {p.name: getattr(policy, p.name) for p in policy.parameters}  # none without a policy
     if spec.outputs_known and spec.classes is not None:
-        report = stability.build_report(cfg.kv_capacity, classes=spec.classes, budgets=budgets)
+        report = stability.build_report(cfg.kv_capacity, classes=spec.classes, budgets=declared.get("budgets"))
     else:
         report = stability.build_report(
             cfg.kv_capacity,
             length_dist=spec.length_distribution(),
             rate=spec.total_rate(),
-            scalar_budget=scalar_budget,
-            activation_cap=activation_cap,
+            scalar_budget=declared.get("budget"),
+            activation_cap=declared.get("cap"),
             horizon=spec.horizon,
         )
     path = cfg.out_dir / "stability.json"
@@ -680,23 +680,6 @@ def cmd_stability(args) -> int:
 # budget search
 
 
-def _parse_grid_point(value, label: str):
-    if isinstance(value, bool):
-        raise ConfigError(f"field '{label}' must be a number, string, or list, got {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, (float, str)):
-        try:
-            return as_fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"field '{label}': {value!r} is not a valid budget") from None
-    if isinstance(value, list):
-        if not value or any(isinstance(b, bool) or not isinstance(b, int) for b in value):
-            raise ConfigError(f"field '{label}' must be a nonempty list of integers")
-        return tuple(value)
-    raise ConfigError(f"field '{label}' must be a number, string, or list, got {value!r}")
-
-
 def _jsonable_budget(point):
     if isinstance(point, tuple):
         return list(point)
@@ -709,11 +692,7 @@ def cmd_budget_search(args) -> int:
     path = _single_config_path(args)
     cfg = load_experiment(path, args, mode="search")
     name, params = cfg.policies[0]
-    if name not in _SEARCH_PARAM:
-        raise ConfigError(
-            f"field 'policy.name': {name!r} has no searchable parameter; "
-            f"searchable: {', '.join(sorted(_SEARCH_PARAM))}"
-        )
+    searched = POLICIES[name].searched
     search = _field(cfg.raw, "search", "", dict)
     objective = _field(search, "objective", "search.", str)
     if objective not in OBJECTIVES:
@@ -724,14 +703,10 @@ def cmd_budget_search(args) -> int:
     raw_grid = _field(search, "grid", "search.", list)
     if not raw_grid:
         raise ConfigError("field 'search.grid' must not be empty")
-    grid = [_parse_grid_point(v, f"search.grid[{i}]") for i, v in enumerate(raw_grid)]
-    base_params = dict(params)
-    param = _SEARCH_PARAM[name]
-    base_params.pop(param, None)
-    for i, point in enumerate(grid):
-        _require_applicable(
-            name, {**base_params, param: point}, cfg.spec, f" with {param} {point}", f"search.grid[{i}]"
-        )
+    grid = []
+    for i, value in enumerate(raw_grid):
+        policy = _require_applicable(name, {**params, searched: value}, cfg.spec, f"search.grid[{i}]", searched)
+        grid.append(getattr(policy, searched))  # as kept: a list as a tuple, a float as a Fraction
     result = stability.budget_search(
         cfg.spec,
         cfg.kv_capacity,
@@ -739,7 +714,7 @@ def cmd_budget_search(args) -> int:
         objective,
         grid,
         seeds=cfg.seeds,
-        params=base_params,
+        params=params,
     )
     csv_path = cfg.out_dir / "search.csv"
     _atomic_write(csv_path, result.write_csv)

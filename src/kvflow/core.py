@@ -114,6 +114,23 @@ def as_fraction(value: Union[Rate, str]) -> Fraction:
     return Fraction(str(value))
 
 
+def rational(name: str, value: object, within: Callable[[Rational], bool], what: str) -> Union[int, Fraction]:
+    """value as an exact rational for which within holds, or a ValueError naming
+    name. An int stays as it is; a float (by its shortest decimal), a Fraction or
+    a fraction string ("5/2") becomes a Fraction. A bool is not a number."""
+    number = None
+    if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
+        try:
+            number = value if isinstance(value, int) else as_fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass  # nan, inf, or a string that is no number
+    if number is None:
+        raise ValueError(f"{name} must be a number or a fraction string, got {value!r}")
+    if not within(number):
+        raise ValueError(f"{name} must be {what}, got {value}")
+    return number
+
+
 class WaitingGroup:
     """One FIFO group of waiting requests, in (arrival_slot, id) order.
 

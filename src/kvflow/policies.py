@@ -29,11 +29,11 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice, repeat
 from operator import add, attrgetter, floordiv, sub
-from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from kvflow.core import EngineError, Rate, Request, WaitingGroup, WaitingQueue, as_fraction
+from kvflow.core import EngineError, Request, WaitingGroup, WaitingQueue, rational
 
 if TYPE_CHECKING:
     from kvflow.workload import WorkloadSpec
@@ -566,6 +566,42 @@ class AdmissionPlanner:
         self._book((rid,), _PlannedEntry(mass_abs, t + left, assumed_len, exact))
 
 
+# The kinds of policy parameter: each maps (name, value) to the value the policy
+# keeps, or raises a ValueError naming the parameter. A bool is never a number.
+
+
+def positive_int(name: str, value: object) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def class_budgets(name: str, value: object) -> Tuple[int, ...]:
+    """A per-class list (or tuple) of nonnegative integers, as a tuple."""
+    if not isinstance(value, (list, tuple)) or not value or not all(type(b) is int and b >= 0 for b in value):
+        raise ValueError(f"{name} must be a nonempty list of nonnegative integers, got {value!r}")
+    return tuple(value)
+
+
+def positive_rate(name: str, value: object) -> Union[int, Fraction]:
+    return rational(name, value, lambda r: r > 0, "positive")
+
+
+def unit_fraction(name: str, value: object) -> Union[int, Fraction]:
+    return rational(name, value, lambda r: 0 <= r < 1, "in [0, 1)")
+
+
+REQUIRED = object()  # the default of a parameter that has none
+
+
+class Param(NamedTuple):
+    """A declared policy parameter. A None default admits an explicit None too."""
+
+    name: str
+    kind: Callable[[str, object], object]
+    default: object = REQUIRED
+
+
 class Policy:
     """Base policy: decide() activations, evict() on overflow.
 
@@ -580,6 +616,34 @@ class Policy:
     # how the engine groups the waiting requests: None keeps one FIFO; a
     # method maps a request to its group's key each time it (re-)enters
     group_key: Optional[Callable[[Request], Hashable]] = None
+    # the constructor's parameters, each kept as the attribute of its name,
+    # and the one budget-search varies (None: not searchable)
+    parameters: Tuple[Param, ...] = ()
+    searched: Optional[str] = None
+
+    def __init__(self, /, *args: object, **values: object) -> None:
+        """Take the declared parameters by position (in declared order) or by keyword."""
+        names = [p.name for p in self.parameters]
+        if len(args) > len(names) or not values.keys().isdisjoint(names[: len(args)]):
+            raise TypeError(f"{type(self).__name__} takes each of {names} once")
+        vars(self).update(self.check_params({**dict(zip(names, args)), **values}))
+
+    @classmethod
+    def check_params(cls, values: Dict[str, object], omit: Optional[str] = None) -> Dict[str, object]:
+        """Every declared parameter but omit: its value in values, checked
+        against its kind, or else its default. The ValueError names the
+        parameter that is missing, unexpected or of the wrong kind."""
+        declared = [p for p in cls.parameters if p.name != omit]
+        unexpected = sorted(set(values) - {p.name for p in declared})
+        if unexpected:
+            raise ValueError(f"policy {cls.name!r} got unexpected parameters {unexpected}")
+        checked = {}
+        for name, kind, default in declared:
+            value = values.get(name, default)
+            if value is REQUIRED:
+                raise ValueError(f"policy {cls.name!r} is missing parameter {name!r}")
+            checked[name] = value if value is default else kind(name, value)
+        return checked
 
     def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
         """Why this policy cannot run on the workload, or None if it can."""
@@ -624,12 +688,8 @@ class PerClassFlowControl(Policy):
     name = "flow_per_class"
     requires_known_outputs = True
     requires_classes = True
-
-    def __init__(self, budgets: Sequence[int]) -> None:
-        budgets = tuple(int(b) for b in budgets)
-        if not budgets or any(b < 0 for b in budgets):
-            raise ValueError(f"per-class budgets must be nonnegative ints, got {budgets}")
-        self.budgets = budgets
+    parameters = (Param("budgets", class_budgets),)
+    searched = "budgets"
 
     def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
         reason = super().applicable(spec)
@@ -663,21 +723,21 @@ class ScalarFlowControl(Policy):
     """
 
     name = "flow_scalar"
+    # cap defaults to ceil(budget)
+    parameters = (Param("budget", positive_rate), Param("cap", positive_int, None))
+    searched = "budget"
+    _rng: Optional[np.random.Generator] = None
 
-    def __init__(self, budget: Rate, cap: Optional[int] = None) -> None:
-        b = as_fraction(budget)
-        if b <= 0:
-            raise ValueError(f"budget must be positive, got {budget}")
-        self.budget = b
+    def __init__(self, /, *args: object, **values: object) -> None:
+        super().__init__(*args, **values)
+        b = self.budget
         self._floor = b.numerator // b.denominator
         self._frac = b - self._floor
         ceil_b = -(-b.numerator // b.denominator)
-        self.cap = ceil_b if cap is None else int(cap)
-        if self.cap < ceil_b:
-            raise ValueError(
-                f"cap {self.cap} is below ceil(budget) = {ceil_b}; the draw could exceed it"
-            )
-        self._rng: Optional[np.random.Generator] = None
+        if self.cap is None:
+            self.cap = ceil_b
+        elif self.cap < ceil_b:
+            raise ValueError(f"cap {self.cap} is below ceil(budget) = {ceil_b}; the draw could exceed it")
 
     def reset(self, seed_seq=None) -> None:
         if self._frac > 0:
@@ -708,13 +768,10 @@ class AlphaProtection(Policy):
     """
 
     name = "alpha_protection"
-
-    def __init__(self, alpha: Union[float, str, Fraction]) -> None:
-        a = as_fraction(alpha)
-        if not 0 <= a < 1:
-            raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-        self.alpha = a
-        self._limit_of: Tuple[Optional[Fraction], int, int] = (None, 0, 0)
+    parameters = (Param("alpha", unit_fraction),)
+    searched = "alpha"
+    # (alpha, kv_capacity, admission limit) of the last decide
+    _limit_of: Tuple[Optional[Fraction], int, int] = (None, 0, 0)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
         # integer threshold: total <= (1 - alpha) * M iff total <= floor(...);
@@ -748,11 +805,8 @@ class MemoryConstrained(Policy):
     """
 
     name = "mc"
-
-    def __init__(self, assume_max_output: Optional[int] = None) -> None:
-        if assume_max_output is not None and assume_max_output < 1:
-            raise ValueError(f"assume_max_output must be >= 1, got {assume_max_output}")
-        self.assume_max_output = assume_max_output
+    # None: output lengths must be visible
+    parameters = (Param("assume_max_output", positive_int, None),)
 
     def applicable(self, spec: "WorkloadSpec") -> Optional[str]:
         reason = super().applicable(spec)
@@ -859,9 +913,8 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
 
     name = "mc_sf"
     requires_known_outputs = True
-
-    def __init__(self) -> None:
-        super().__init__(assume_max_output=None)
+    parameters = ()
+    assume_max_output = None
 
     def group_key(self, r: Request) -> Tuple[int, int]:
         if not r.output_known:
@@ -890,11 +943,11 @@ class AdaptivePrediction(Policy):
     """
 
     name = "amin"
+    parameters = (Param("min_output", positive_int, 1),)
+    searched = "min_output"
 
-    def __init__(self, min_output: int = 1) -> None:
-        if min_output < 1:
-            raise ValueError(f"min_output must be >= 1, got {min_output}")
-        self.min_output = min_output
+    def __init__(self, /, *args: object, **values: object) -> None:
+        super().__init__(*args, **values)
         self._pred: Dict[int, int] = {}
 
     def reset(self, seed_seq=None) -> None:
@@ -950,38 +1003,18 @@ class FixedSchedule(Policy):
         return ActivationDecision(list(self.schedule.get(view.clock, [])))
 
 
-POLICY_NAMES = (
-    "flow_per_class",
-    "flow_scalar",
-    "alpha_protection",
-    "mc",
-    "mc_sf",
-    "amin",
-)
+POLICIES: Dict[str, type] = {
+    cls.name: cls
+    for cls in (
+        PerClassFlowControl, ScalarFlowControl, AlphaProtection,
+        MemoryConstrained, ShortestFirstMemoryConstrained, AdaptivePrediction,
+    )
+}
 
 
 def make_policy(name: str, params: Optional[dict] = None) -> Policy:
-    """Build a policy from its registry name and a parameter mapping."""
-    params = dict(params or {})
-    if name not in POLICY_NAMES:
-        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICY_NAMES)}")
-    try:
-        if name == "flow_per_class":
-            policy: Policy = PerClassFlowControl(budgets=params.pop("budgets"))
-        elif name == "flow_scalar":
-            policy = ScalarFlowControl(budget=params.pop("budget"), cap=params.pop("cap", None))
-        elif name == "alpha_protection":
-            policy = AlphaProtection(alpha=params.pop("alpha"))
-        elif name == "mc":
-            policy = MemoryConstrained(
-                assume_max_output=params.pop("assume_max_output", None)
-            )
-        elif name == "mc_sf":
-            policy = ShortestFirstMemoryConstrained()
-        else:
-            policy = AdaptivePrediction(min_output=params.pop("min_output", 1))
-    except KeyError as exc:
-        raise ValueError(f"policy {name!r} is missing parameter {exc.args[0]!r}") from None
-    if params:
-        raise ValueError(f"policy {name!r} got unexpected parameters {sorted(params)}")
-    return policy
+    """Build a registered policy from its name and its parameters; a
+    ValueError names an unknown policy or the parameter at fault."""
+    if name not in POLICIES:
+        raise ValueError(f"unknown policy {name!r}; known: {', '.join(POLICIES)}")
+    return POLICIES[name](**(params or {}))

@@ -25,18 +25,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
-from kvflow.core import RequestClass, as_fraction, workload_tokens
+from kvflow.core import Rate, RequestClass, as_fraction, workload_tokens
 from kvflow.engine import run as engine_run
 from kvflow.metrics import compute_metrics
 from kvflow.oracle import OBJECTIVES, is_improvement, objective_value
-from kvflow.policies import make_policy
+from kvflow.policies import POLICIES, class_budgets, make_policy
 from kvflow.workload import LengthDistribution, generate_arrivals
 
 NEGLIGIBLE_LOG = -700.0
-
-Rate = Union[int, Fraction]
 
 
 def _norm_classes(classes) -> List[Tuple[int, int, Optional[Fraction]]]:
@@ -153,9 +151,7 @@ def check_sufficient_known(
     norm = _norm_classes(classes)
     if len(budgets) != len(norm):
         raise ValueError(f"{len(norm)} classes but {len(budgets)} budgets")
-    budgets = [int(b) for b in budgets]
-    if any(b < 0 for b in budgets):
-        raise ValueError("budgets must be nonnegative integers")
+    budgets = class_budgets("budgets", budgets)
     if rates is None:
         rate_list = [r for _, _, r in norm]
         if any(r is None for r in rate_list):
@@ -377,14 +373,6 @@ def build_report(
 # the mean of every objective over the seeds, then event and completion totals
 SEARCH_FIELDS = ("budget", "objective_value", *OBJECTIVES, "overflow_events", "eviction_events", "completed")
 
-# which constructor parameter the searched value feeds, per policy
-_SEARCH_PARAM = {
-    "flow_scalar": "budget",
-    "flow_per_class": "budgets",
-    "alpha_protection": "alpha",
-    "amin": "min_output",
-}
-
 
 @dataclass(frozen=True)
 class BudgetSearchResult:
@@ -414,6 +402,7 @@ def budget_search(
 ) -> BudgetSearchResult:
     """Measure every grid point with the same fixed seeds; pick the best.
 
+    Grid points are values of the policy's searched parameter, over params.
     The objective per grid point is the mean over seeds of the oracle's
     objective_value, and the oracle's is_improvement says which mean is
     better: latency objectives minimize, throughput objectives maximize,
@@ -423,23 +412,21 @@ def budget_search(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; known: {', '.join(OBJECTIVES)}")
-    if policy not in _SEARCH_PARAM:
+    searched = POLICIES[policy].searched if policy in POLICIES else None
+    if searched is None:
         raise ValueError(f"policy {policy!r} has no searchable parameter")
     grid = list(grid)
     if not grid:
         raise ValueError("grid must not be empty")
     if not seeds:
         raise ValueError("need at least one seed")
-    param_name = _SEARCH_PARAM[policy]
 
+    built = [make_policy(policy, {**(params or {}), searched: point}) for point in grid]
     # one stream per seed, replayed under every grid point
     measured: List[list] = [[] for _ in grid]  # per grid point, one report per seed
     for seed in seeds:
         arrivals = generate_arrivals(spec, seed=seed)
-        for point, reports in zip(grid, measured):
-            merged = dict(params or {})
-            merged[param_name] = tuple(point) if param_name == "budgets" else point
-            pol = make_policy(policy, merged)
+        for pol, reports in zip(built, measured):
             reports.append(compute_metrics(engine_run(arrivals, pol, kv_capacity, seed=seed)))
 
     rows: List[dict] = []

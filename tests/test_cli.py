@@ -102,6 +102,26 @@ class TestConfigErrors:
         self.check(tmp_path, doc, "budgets")
         assert "budgets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "policy, wrong",
+        [
+            ({"name": "flow_per_class", "params": {"budgets": "444"}}, "budgets"),
+            ({"name": "flow_per_class", "params": {"budgets": [4.7, 4]}}, "budgets"),
+            ({"name": "flow_per_class", "params": {"budgets": [True, 4]}}, "budgets"),
+            ({"name": "flow_per_class", "params": {"budgets": 5}}, "budgets"),
+            ({"name": "flow_scalar", "params": {"budget": True}}, "budget"),
+            ({"name": "flow_scalar", "params": {"budget": 2, "cap": 3.5}}, "cap"),
+            ({"name": "mc", "params": {"assume_max_output": 20.5}}, "assume_max_output"),
+            ({"name": "mc", "params": {"assume_max_output": True}}, "assume_max_output"),
+            ({"name": "amin", "params": {"min_output": 2.5}}, "min_output"),
+        ],
+    )
+    def test_policy_parameter_of_the_wrong_kind(self, tmp_path, capsys, policy, wrong):
+        doc = base_config(policy=policy)
+        doc["workload"]["classes"].append({"prompt_len": 1, "decode_len": 1, "rate": 1})
+        self.check(tmp_path, doc, wrong)
+        assert f"field 'policy.params': {wrong} must be" in capsys.readouterr().err
+
     def test_policies_list_rejected_by_run(self, tmp_path, capsys):
         doc = base_config()
         doc["policies"] = [doc.pop("policy")]
@@ -640,6 +660,23 @@ class TestBudgetSearch:
         out = tmp_path / "out"
         assert cli.main(["budget-search", "-c", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_CONFIG
         assert "field 'search.grid[1]': budget must be positive, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_value_of_the_wrong_kind(self, tmp_path, capsys):
+        doc = self.search_config(objective="avg_latency", grid=[1, 2.5])
+        doc["policy"] = {"name": "amin", "params": {}}
+        out = tmp_path / "out"
+        assert cli.main(["budget-search", "-c", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert "field 'search.grid[1]': min_output must be a positive integer, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cap", ["abc", 3.5])
+    def test_fixed_parameter_is_blamed_on_params(self, tmp_path, capsys, cap):
+        doc = self.search_config(objective="avg_latency", grid=[1, 2])
+        doc["policy"]["params"] = {"cap": cap}
+        out = tmp_path / "out"
+        assert cli.main(["budget-search", "-c", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_CONFIG
+        assert f"field 'policy.params': cap must be a positive integer, got {cap!r}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_objective(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""Source hygiene: no module under src/kvflow imports a name it never uses,
-and no private top-level name under src/kvflow goes unread.
+"""Source hygiene: no module under src/kvflow imports a name it never uses
+or a private name of another kvflow module, and no private top-level name
+under src/kvflow goes unread.
 
 Uses are read from the syntax tree: every bare name, the names inside
 string annotations ("WorkloadSpec"), and a module's __all__ list.
@@ -61,6 +62,19 @@ def test_no_unused_imports(path):
     used = used_names(tree) | exported_names(tree)
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports_across_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"{alias.name} from {node.module or '.'} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "kvflow")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names of other modules: {', '.join(private)}"
 
 
 def private_definitions(tree: ast.Module):

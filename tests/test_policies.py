@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import random
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvflow.core import Request, RequestClass, WaitingQueue, peak_projection
 from kvflow.engine import Engine, run as engine_run
 from kvflow.policies import (
+    POLICIES,
     ActivationDecision,
     AdmissionPlanner,
     AdaptivePrediction,
@@ -669,6 +674,68 @@ class TestFactoryAndSpec:
             make_policy("flow_scalar", {})
         with pytest.raises(ValueError, match="unexpected parameters"):
             make_policy("mc_sf", {"budget": 3})
+
+    @pytest.mark.parametrize(
+        "name, params, wrong",
+        [
+            ("flow_per_class", {"budgets": "444"}, "budgets"),
+            ("flow_per_class", {"budgets": [4.7, 4]}, "budgets"),
+            ("flow_per_class", {"budgets": [True, 4]}, "budgets"),
+            ("flow_per_class", {"budgets": 5}, "budgets"),
+            ("flow_per_class", {"budgets": []}, "budgets"),
+            ("flow_scalar", {"budget": True}, "budget"),
+            ("flow_scalar", {"budget": "abc"}, "budget"),
+            ("flow_scalar", {"budget": "1/0"}, "budget"),
+            ("flow_scalar", {"budget": 2, "cap": 3.5}, "cap"),
+            ("flow_scalar", {"budget": 2, "cap": "3"}, "cap"),
+            ("alpha_protection", {"alpha": [0.5]}, "alpha"),
+            ("mc", {"assume_max_output": 20.5}, "assume_max_output"),
+            ("mc", {"assume_max_output": True}, "assume_max_output"),
+            ("amin", {"min_output": 2.5}, "min_output"),
+            ("amin", {"min_output": None}, "min_output"),
+        ],
+    )
+    def test_values_of_the_wrong_kind(self, name, params, wrong):
+        # each was built (truncated or coerced) or crashed later with a TypeError
+        with pytest.raises(ValueError, match=f"^{re.escape(wrong)} "):
+            make_policy(name, params)
+
+    def test_accepted_forms(self):
+        assert make_policy("flow_per_class", {"budgets": [4, 4, 4]}).budgets == (4, 4, 4)
+        assert make_policy("flow_per_class", {"budgets": (1, 1, 1, 1)}).budgets == (1, 1, 1, 1)
+        assert make_policy("flow_scalar", {"budget": 12}).budget == 12
+        assert make_policy("flow_scalar", {"budget": "5/2", "cap": None}).cap == 3
+        assert make_policy("alpha_protection", {"alpha": 0.6}).alpha == Fraction(3, 5)
+        assert make_policy("mc", {"assume_max_output": 200}).assume_max_output == 200
+        assert make_policy("mc", {"assume_max_output": None}).assume_max_output is None
+
+    # numbers near the valid ranges, in every form a config may write them
+    NUMBERS = (
+        st.integers(-2, 30)
+        | st.floats(-1, 40)
+        | st.from_regex(r"-?[0-9]{1,2}(/[0-9]{1,2}|\.[0-9]{1,2})?", fullmatch=True)
+    )
+    JSON = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6) | NUMBERS,
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=3),
+        max_leaves=6,
+    )
+    VALUES = NUMBERS | st.lists(st.integers(-1, 9), max_size=4) | JSON
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(data=st.data())
+    def test_any_json_value_builds_or_names_the_parameter(self, data):
+        name = data.draw(st.sampled_from(sorted(POLICIES)))
+        declared = [p.name for p in POLICIES[name].parameters]
+        params = data.draw(st.fixed_dictionaries({}, optional={key: self.VALUES for key in declared}))
+        try:
+            policy = make_policy(name, params)
+        except ValueError as exc:
+            assert any(key in str(exc) for key in declared), str(exc)
+            return
+        # the values a policy keeps are values it accepts
+        kept = {key: getattr(policy, key) for key in declared}
+        assert {key: getattr(make_policy(name, kept), key) for key in declared} == kept
 
     def test_fixed_schedule(self):
         p = FixedSchedule({1: [1], 3: [2]})
