@@ -696,7 +696,6 @@ class TestFactoryAndSpec:
         ],
     )
     def test_values_of_the_wrong_kind(self, name, params, wrong):
-        # each was built (truncated or coerced) or crashed later with a TypeError
         with pytest.raises(ValueError, match=f"^{re.escape(wrong)} "):
             make_policy(name, params)
 
