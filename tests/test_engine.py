@@ -661,6 +661,30 @@ class TestArtifactBytes:
         self.assert_same_events(hand, tmp_path)
         assert (tmp_path / "fast.csv").read_bytes() == b"slot,kind,request_id,usage_after\r\n1,arrive,1,0\r\n"
 
+    def test_hidden_output_run_with_large_active_sets(self, tmp_path):
+        r = run(
+            TestPinnedDigests.hidden_stream(),
+            make_policy("flow_scalar", {"budget": 12}),
+            kv_capacity=16492,
+            seed=1,
+            record_events=True,
+        )
+        # hundreds of ids in one decode entry
+        assert max(len(e[2]) for e in r.events if e[1] == "decode_step") >= 300
+        self.assert_same_events(r.events, tmp_path)
+
+    def test_large_decode_entry_with_large_ids(self, tmp_path):
+        big = 2**40
+        events = [
+            (7, "arrive", big, 0),
+            (8, "decode_step", tuple(range(big, big + 5000)), 2**41 + 3),
+            (8, "complete", big, 2**41),
+        ]
+        self.assert_same_events(events, tmp_path)
+        text = (tmp_path / "fast.csv").read_bytes().decode()
+        assert text.count(",decode_step,") == 5000
+        assert f"8,decode_step,{big + 4999},{2**41 + 3}\r\n" in text
+
     def test_entry_count(self, results):
         # one entry per non-decode row, plus one per slot with a nonempty
         # active set
@@ -747,6 +771,9 @@ class TestPinnedDigests:
         ("flow_scalar", {"budget": 12}, "bb1d486969a76ab94ac0ec58990da8c4171b641a27404b46d2ee13c122bfb2cd"),
         ("alpha_protection", {"alpha": 0.6}, "dc4e22ebb7a2b17685ffa4c72690af9825684eee8d7ad3d45b59b6dcc9473dba"),
         ("mc", {"assume_max_output": 200}, "46bfe480be842d0f8775740ee742981e200e0e92bd4ce29276c6b6b4e706607a"),
+        # windows of 1 000 and 2 000 slots: the ledger's dense vector that deep
+        ("mc", {"assume_max_output": 1000}, "2627e5ff45157f2b94b3a04d5589d3645c2f97e03fe680ccf66c049bbdbf961e"),
+        ("mc", {"assume_max_output": 2000}, "d6b592d31101a9b41936fc5ebee4df2f4470a2c82eb17525231bf9e0aceaa0d5"),
         ("amin", {"min_output": 1}, "a1f2ca1b4f44b6c864f270db0061fb44f25e55c9d7c99203fad01b645a907bf9"),
     ]
 
