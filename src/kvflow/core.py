@@ -22,6 +22,14 @@ from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple
 Rate = Union[int, float, Fraction]
 
 
+def positive_int(name: str, value: object) -> int:
+    """value, an int of at least 1, or a ValueError naming name. A bool is
+    not a number."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 class EngineError(RuntimeError):
     """A policy or engine contract was violated mid-run."""
 
@@ -42,10 +50,8 @@ class RequestClass:
     rate: Rate
 
     def __post_init__(self) -> None:
-        if self.prompt_len <= 0:
-            raise ValueError(f"prompt_len must be positive, got {self.prompt_len}")
-        if self.decode_len <= 0:
-            raise ValueError(f"decode_len must be positive, got {self.decode_len}")
+        positive_int("prompt_len", self.prompt_len)
+        positive_int("decode_len", self.decode_len)
         if self.rate < 0:
             raise ValueError(f"rate must be nonnegative, got {self.rate}")
 
@@ -101,17 +107,44 @@ def nearest_rank(n: int, pct_num: int = 95, pct_den: int = 100) -> int:
 ARRIVAL_ORDER = attrgetter("arrival_slot", "id")
 
 
+# The most characters, and the largest exponent, a number string may have.
+# Fraction builds 10**exponent in full, so "1e100000000" would take minutes;
+# every float's shortest decimal stays within both.
+NUMBER_LIMIT = 1000
+
+
+def _too_big(text: str) -> Optional[str]:
+    """Why the number string text is too big to parse, or None."""
+    _, e, exponent = text.lower().rpartition("e")
+    if len(text) > NUMBER_LIMIT:
+        reason = f"has {len(text)} characters, more than {NUMBER_LIMIT}"
+    else:
+        try:
+            if not e or abs(int(exponent)) <= NUMBER_LIMIT:
+                return None
+        except ValueError:
+            return None  # no exponent: Fraction parses or rejects the rest
+        reason = f"has an exponent beyond {NUMBER_LIMIT}"
+    shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+    return f"number string {shown} {reason}"
+
+
 def as_fraction(value: Union[Rate, str]) -> Fraction:
     """An exact rational; a float means its shortest decimal (0.1 is 1/10).
 
     Integers, Fractions and strings ("3/2", "0.25") convert as Fraction
     does. Anything else, floats included, goes through its shortest decimal
     str(), so a budget or rate written as 0.1 is analysed and run as exactly
-    one tenth, not as the nearest binary double.
+    one tenth, not as the nearest binary double. A string longer than
+    NUMBER_LIMIT, or with an exponent beyond it, is a ValueError.
     """
-    if isinstance(value, (Rational, str)):
+    if isinstance(value, Rational):
         return Fraction(value)
-    return Fraction(str(value))
+    text = value if isinstance(value, str) else str(value)
+    reason = _too_big(text)
+    if reason is not None:
+        raise ValueError(reason)
+    return Fraction(text)
 
 
 def rational(name: str, value: object, within: Callable[[Rational], bool], what: str) -> Union[int, Fraction]:
@@ -119,6 +152,9 @@ def rational(name: str, value: object, within: Callable[[Rational], bool], what:
     name. An int stays as it is; a float (by its shortest decimal), a Fraction or
     a fraction string ("5/2") becomes a Fraction. A bool is not a number."""
     number = None
+    reason = _too_big(value) if isinstance(value, str) else None
+    if reason is not None:
+        raise ValueError(f"{name}: {reason}")
     if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
         try:
             number = value if isinstance(value, int) else as_fraction(value)
@@ -141,7 +177,9 @@ class WaitingGroup:
     the middle of the group costs O(group).
 
     Policies read a group (its length, head, order and count_before); only
-    the WaitingQueue that owns it changes it.
+    the WaitingQueue that owns it changes it. A list whose live part is
+    gone is emptied, so a group is empty iff both lists are: a test that
+    needs no Python-level __len__ call.
     """
 
     __slots__ = ("key", "_main", "_mhead", "_side", "_shead", "_sdirty")
@@ -208,7 +246,14 @@ class WaitingGroup:
         for entries, start in ((self._main, self._mhead), (self._side, self._shead)):
             for i in range(start, len(entries)):
                 if entries[i].id == req_id:
-                    return entries.pop(i)
+                    r = entries.pop(i)
+                    if start == len(entries):  # it was the last live entry
+                        entries.clear()
+                        if entries is self._main:
+                            self._mhead = 0
+                        else:
+                            self._shead = 0
+                    return r
         raise EngineError(f"request {req_id} is not in group {self.key!r}")
 
 

@@ -208,7 +208,7 @@ def write_events_csv(events: Iterable[EventEntry], path) -> None:
     decimal and nothing quoted. ``kind`` is one of ``arrive``, ``activate``,
     ``overflow``, ``evict``, ``decode_step`` and ``complete``; ``overflow``
     rows carry ``request_id`` -1. A decode entry's rows are formatted with
-    one string join, and a plain row log is written as it is. Rows go out
+    one % call, and a plain row log is written as it is. Rows go out
     in chunks of about _EVENT_CHUNK_ROWS, so the whole file is never held
     as one string.
     """
@@ -221,9 +221,10 @@ def write_events_csv(events: Iterable[EventEntry], path) -> None:
             if type(ids) is tuple:
                 if not ids:
                     continue
-                head = f"{entry[0]},{entry[1]},"
-                tail = f",{entry[3]}\r\n"
-                parts.append(head + (tail + head).join(map(str, ids)) + tail)
+                head, tail = f"{entry[0]},{entry[1]},", f",{entry[3]}\r\n"
+                # %s writes str(id), as csv.writer does
+                row = head.replace("%", "%%") + "%s" + tail.replace("%", "%%")
+                parts.append((row * len(ids)) % ids)
                 rows += len(ids)
             else:
                 parts.append(_EVENT_ROW % entry)
@@ -444,22 +445,28 @@ class Engine:
             self.series_class_waiting.append(tuple(class_waiting))
 
     def result(self, exhausted_slot: Optional[int] = None) -> RunResult:
-        as_i64 = lambda xs: np.asarray(xs, dtype=np.int64)
+        def as_i64(name: str, xs: list) -> np.ndarray:
+            try:
+                return np.asarray(xs, dtype=np.int64)
+            except OverflowError:
+                value = next(x for x in xs if not -(2**63) <= x < 2**63)
+                raise EngineError(f"series {name} holds {value}, past the int64 range of a run result") from None
+
         return RunResult(
             policy_name=self.policy.name,
             kv_capacity=self.state.kv_capacity,
             horizon=self.state.clock,
             seed=self.state.rng_seed,
-            usage=as_i64(self.series_usage),
-            waiting_len=as_i64(self.series_waiting),
-            active_len=as_i64(self.series_active),
-            budgets=as_i64(self.series_budget),
-            prefill_tokens=as_i64(self.series_prefill),
-            decode_tokens=as_i64(self.series_decode),
-            completed_arrival=as_i64(self.completed_arrival),
-            completed_slot=as_i64(self.completed_slot),
-            completed_decode_len=as_i64(self.completed_decode_len),
-            completed_prompt_len=as_i64(self.completed_prompt_len),
+            usage=as_i64("usage", self.series_usage),
+            waiting_len=as_i64("waiting_len", self.series_waiting),
+            active_len=as_i64("active_len", self.series_active),
+            budgets=as_i64("budgets", self.series_budget),
+            prefill_tokens=as_i64("prefill_tokens", self.series_prefill),
+            decode_tokens=as_i64("decode_tokens", self.series_decode),
+            completed_arrival=as_i64("completed_arrival", self.completed_arrival),
+            completed_slot=as_i64("completed_slot", self.completed_slot),
+            completed_decode_len=as_i64("completed_decode_len", self.completed_decode_len),
+            completed_prompt_len=as_i64("completed_prompt_len", self.completed_prompt_len),
             arrivals_total=self.arrivals_total,
             overflow_slots=self.overflow_slots,
             eviction_count=self.eviction_count,
@@ -468,7 +475,7 @@ class Engine:
             final_waiting=len(self.state.waiting),
             final_active=len(self.state.active),
             class_waiting=(
-                as_i64(self.series_class_waiting) if self._class_waiting is not None else None
+                as_i64("class_waiting", self.series_class_waiting) if self._class_waiting is not None else None
             ),
             exhausted_slot=exhausted_slot,
             events=self.events if self.record_events else None,
@@ -479,11 +486,21 @@ def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Reque
     """Yield each slot of a hand-built stream sorted by (arrival_slot, id),
     the order the waiting queue takes arrivals in. Generated streams are
     built in it. A slot that orders before a request of an earlier slot,
-    an id that arrived before, or a prompt or decode length that is not an
-    integer of at least 1 is an error."""
+    an id that arrived before, an id or arrival slot that is not an
+    integer, or a prompt or decode length that is not an integer of at
+    least 1 is an error."""
     last = None
     seen = set()
     for slot_requests in slots:
+        for r in slot_requests:
+            for name in ("id", "arrival_slot"):
+                value = getattr(r, name)
+                if not isinstance(value, Integral) or isinstance(value, bool):
+                    raise ValueError(f"request {r.id!r} has {name} {value!r}; it must be an integer")
+            for name in ("prompt_len", "decode_len"):
+                value = getattr(r, name)
+                if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
+                    raise ValueError(f"request {r.id} has {name} {value!r}; it must be an integer >= 1")
         ordered = sorted(slot_requests, key=ARRIVAL_ORDER)
         if ordered:
             first = ARRIVAL_ORDER(ordered[0])
@@ -497,10 +514,6 @@ def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Reque
                 if r.id in seen:
                     raise EngineError(f"duplicate request id {r.id}")
                 seen.add(r.id)
-                for name in ("prompt_len", "decode_len"):
-                    value = getattr(r, name)
-                    if not isinstance(value, Integral) or value < 1:
-                        raise ValueError(f"request {r.id} has {name} {value!r}; it must be an integer >= 1")
         yield ordered
 
 

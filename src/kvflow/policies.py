@@ -27,13 +27,13 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import islice, repeat
-from operator import add, attrgetter, floordiv, sub
+from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from kvflow.core import EngineError, Request, WaitingGroup, WaitingQueue, rational
+from kvflow.core import EngineError, Request, WaitingGroup, WaitingQueue, positive_int, rational
 
 if TYPE_CHECKING:
     from kvflow.workload import WorkloadSpec
@@ -189,6 +189,10 @@ class EvictionDecision:
     to_evict: List[int] = field(default_factory=list)
 
 
+# The ledger's int64 vector holds every entry below this bound, with room
+# for a range add of the same size on top.
+INT64_ROOM = 2**62
+
 # Planner-side record of a booked request: identical candidates booked
 # together share one record, since nothing in it is per request.
 _PlannedEntry = namedtuple("_PlannedEntry", ["mass_abs", "rem_abs", "assumed_len", "exact"])
@@ -229,7 +233,8 @@ class AdmissionPlanner:
 
     A query the two numbers cannot prove, and projection, take the exact
     path: the dense vector _vec[d - 1] = base(d) + d, down to the deepest
-    bin, so a check is one lookup and an admission one range add. It is
+    bin, a numpy int64 array, so a check is one vectorised min and an
+    admission one range add. It is
     built from the bins only when a query needs it and none is kept. A
     one-slot advance keeps it by shifting it down one place (base(d) one
     slot later is base(d + 1) now); an admission in a slot where no query
@@ -240,6 +245,10 @@ class AdmissionPlanner:
     so a finish on schedule changes nothing but the registry, and an early
     finish comes out of depths 2 and deeper.
 
+    int64 wraps where Python ints never do, so kv_capacity must stay below
+    2**62 (INT64_ROOM), and a booking that lifts depth 1 or B to it raises
+    EngineError: every entry of the vector past depth 1 is at most B.
+
     In a run the engine owns the one planner, the ledger of the active set
     (see PolicyView.ledger): policies query it and book the candidates they
     activate, and the engine advances it and removes evicted and completed
@@ -249,6 +258,8 @@ class AdmissionPlanner:
     """
 
     def __init__(self, kv_capacity: int, clock: int = 0) -> None:
+        if kv_capacity >= INT64_ROOM:
+            raise ValueError(f"kv_capacity must be below 2**62 for a ledger policy, got {kv_capacity}")
         self.kv_capacity = kv_capacity
         self._clock = clock
         # rem_abs (past the clock) -> [mass_abs, count, loose mass_abs,
@@ -267,7 +278,7 @@ class AdmissionPlanner:
         self._booked: List[int] = []  # since take_booked
         # dense per-slot cache: _vec[d-1] = base(d) + d down to the deepest
         # bin, built only when a query needs it
-        self._vec: Optional[List[int]] = None
+        self._vec: Optional[np.ndarray] = None
         self._used = False  # a query read _vec in the current slot
         self._maxx = 16  # deepest horizon requested so far; densify this far
 
@@ -284,9 +295,23 @@ class AdmissionPlanner:
                 b[2] += mass_abs
                 b[3] += count
 
+    def _raise_bound(self, depth: int, add: int) -> None:
+        """Raise B for a booking that reaches depth and adds at most add
+        at any depth; raise EngineError, before the booking changes
+        anything, where int64 would no longer hold it."""
+        bound = max(self._bound, depth) + add
+        if bound >= INT64_ROOM or self._depth1() + add >= INT64_ROOM:
+            raise EngineError(f"a booking of up to {add} tokens a slot lifts the ledger to 2**62, past what its int64 vector holds")
+        self._bound = bound
+
     def _depth1(self) -> int:
         """base(1) + 1, exact."""
         return self._mass + self._cnt * (self._clock + 1) + 1
+
+    def depth1_room(self) -> int:
+        """The longest prompt depth 1 still has room for: max_admissible
+        answers 0 for any longer one."""
+        return self.kv_capacity - self._depth1()
 
     def _book(self, ids: Sequence[int], entry: _PlannedEntry) -> None:
         self._reg.update(dict.fromkeys(ids, entry))
@@ -318,18 +343,19 @@ class AdmissionPlanner:
         if prev is not None:
             self._shift(prev)
 
-    def _shift(self, prev: List[int]) -> None:
-        """Re-anchor prev, the dense vector of the previous slot, at the clock.
+    def _shift(self, prev: np.ndarray) -> None:
+        """Re-anchor prev, the dense vector of the previous slot, at the
+        clock, in place.
 
         prev[d] - 1 is base(d) + d here, for d < len(prev). Every bin ended
         within prev, so the deepest depth holds no booking, and depth 1 is
         read from the running totals (prev[0], which carried the old one,
         drops out).
         """
-        vec = [v - 1 for v in prev[1:]]
-        vec.append(len(prev))
-        vec[0] = self._depth1()
-        self._vec = vec
+        np.subtract(prev[1:], 1, out=prev[:-1])
+        prev[-1] = len(prev)
+        prev[0] = self._depth1()
+        self._vec = prev
 
     def _forget(self, rid: int) -> _PlannedEntry:
         """Drop a request from the registry and return its record."""
@@ -386,7 +412,7 @@ class AdmissionPlanner:
                 if vec is not None:
                     # in place: it held mass_abs + t + d at depths 2..rem_abs - t
                     deep = rem_abs - t
-                    vec[1:deep] = map(sub, vec[1:deep], range(mass_abs + t + 2, mass_abs + t + deep + 1))
+                    vec[1:deep] -= np.arange(mass_abs + t + 2, mass_abs + t + deep + 1)
             elif e.exact:
                 continue  # past its window, it already counts nowhere
             kept_mass += e.mass_abs
@@ -429,27 +455,29 @@ class AdmissionPlanner:
         t = self._clock
         if upto > self._maxx:
             self._maxx = upto
-        # entries binned at rem >= t + d survive depth d, so between two bin
-        # keys the survivors stay the same and base(d) + d grows by a fixed
-        # step (one per survivor plus the depth term): one range per segment,
-        # down to the deepest bin (B is read from there, and a shift finds
-        # nothing past it), then on to the deepest depth asked for
-        bins = sorted(self._bins.items())
-        mass = sum(b[0] for _, b in bins)
-        cnt = sum(b[1] for _, b in bins)
-        vec: List[int] = []
-        d = 1
-        for key, (m, c, _, _) in bins:
-            last = key - t
-            vec.extend(range(mass + t * cnt + d * (cnt + 1), mass + t * cnt + (last + 1) * (cnt + 1), cnt + 1))
-            d = last + 1
-            mass -= m
-            cnt -= c
-        vec.extend(range(d, self._maxx + 1))
-        vec[0] = self._depth1()
-        self._vec = vec
+        # entries binned at rem >= t + d survive depth d, each holding
+        # mass_abs + t + d there: a bin at depth k adds (m + c * t) + c * d at
+        # every depth d <= k, so base(d) is a suffix sum over the bins. The
+        # vector reaches the deepest bin (B is read from there, and a shift
+        # finds nothing past it), then on to the deepest depth asked for
+        bins = self._bins
+        depth = len(bins) and max(bins) - t
+        rel = np.zeros(max(depth, self._maxx), np.int64)
+        cnt = np.zeros_like(rel)
+        if depth:
+            at = np.fromiter(bins, np.int64, len(bins)) - (t + 1)
+            rel[at] = [m + c * t for m, c, _, _ in bins.values()]
+            cnt[at] = [b[1] for b in bins.values()]
+            # suffix sums, in place
+            rel[::-1].cumsum(out=rel[::-1])
+            cnt[::-1].cumsum(out=cnt[::-1])
+        cnt += 1
+        cnt *= np.arange(1, len(rel) + 1)
+        rel += cnt
+        rel[0] = self._depth1()
+        self._vec = rel
 
-    def _dense(self, upto: int) -> List[int]:
+    def _dense(self, upto: int) -> np.ndarray:
         """The dense vector at least upto deep, built from the bins unless
         it is kept: the exact path of every query."""
         vec = self._vec
@@ -461,13 +489,12 @@ class AdmissionPlanner:
         self._used = True
         # past the deepest bin base(d) = 0, which any B bounds
         deepest = max(self._bins, default=self._clock) - self._clock
-        self._bound = max(vec[1:deepest], default=0)
+        self._bound = int(vec[1:deepest].max()) if deepest > 1 else 0
         return vec
 
     def projection(self, horizon: int) -> List[int]:
         """base(1..horizon); matches kvflow.core.peak_projection exactly."""
-        vec = self._dense(horizon)
-        return [vec[d] - (d + 1) for d in range(horizon)]
+        return (self._dense(horizon)[:horizon] - np.arange(1, horizon + 1)).tolist()
 
     def feasible(self, prompt_len: int, assumed_len: int) -> bool:
         return self.max_admissible(prompt_len, assumed_len, 1) > 0
@@ -502,14 +529,13 @@ class AdmissionPlanner:
         if room >= 0 and 1 + room // (l + assumed_len) >= cap:
             return cap  # B shows no deeper depth caps it lower
         vec = self._dense(assumed_len)[:assumed_len]
-        room = M - l - max(vec)
+        room = M - l - int(vec.max())
         if room < 0:
             return 0  # some depth has no room for even one copy
         if 1 + room // (l + assumed_len) >= limit:
             # the least room over the largest divisor already allows limit
             return limit
-        rooms = map(sub, repeat(M - l), vec)
-        return min(limit, 1 + min(map(floordiv, rooms, range(l + 1, l + 1 + assumed_len))))
+        return min(limit, 1 + int(((M - l - vec) // np.arange(l + 1, l + 1 + assumed_len)).min()))
 
     def admit_many(
         self,
@@ -526,14 +552,14 @@ class AdmissionPlanner:
             return
         if len(req_ids) != count:
             raise ValueError(f"{len(req_ids)} ids name {count} candidates")
+        # each candidate holds prompt_len + d <= prompt_len + assumed_len at depth d
+        self._raise_bound(assumed_len, count * (prompt_len + assumed_len))
         t = self._clock
         rem_abs = t + assumed_len
         mass_abs = prompt_len - t
         self._add_bin(rem_abs, mass_abs * count, count, not exact)
         self._mass += mass_abs * count
         self._cnt += count
-        # each candidate holds prompt_len + d <= prompt_len + assumed_len at depth d
-        self._bound = max(self._bound, assumed_len) + count * (prompt_len + assumed_len)
         self._booked.extend(req_ids)
         self._book(req_ids, _PlannedEntry(mass_abs, rem_abs, assumed_len, exact))
         vec = self._vec
@@ -541,7 +567,7 @@ class AdmissionPlanner:
             if self._used and assumed_len <= len(vec):
                 # in-place range add: each candidate holds l + d at depth d <= x
                 add0 = count * (prompt_len + 1)
-                vec[:assumed_len] = map(add, vec[:assumed_len], range(add0, add0 + count * assumed_len, count))
+                vec[:assumed_len] += np.arange(add0, add0 + count * assumed_len, count)
             else:
                 self._vec = None  # no query of this slot read it, or it reaches past it
 
@@ -557,23 +583,17 @@ class AdmissionPlanner:
         assumed length already counts as finishing one slot ahead."""
         t = self._clock
         left = max(assumed_len - generated, 1)
+        self._raise_bound(left, prompt_len + generated + left)
         mass_abs = (prompt_len + generated) - t
         self._add_bin(t + left, mass_abs, 1, not exact)
         self._mass += mass_abs
         self._cnt += 1
-        self._bound = max(self._bound, left) + prompt_len + generated + left
         self._vec = None
         self._book((rid,), _PlannedEntry(mass_abs, t + left, assumed_len, exact))
 
 
 # The kinds of policy parameter: each maps (name, value) to the value the policy
 # keeps, or raises a ValueError naming the parameter. A bool is never a number.
-
-
-def positive_int(name: str, value: object) -> int:
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 def class_budgets(name: str, value: object) -> Tuple[int, ...]:
@@ -872,24 +892,38 @@ def _skip_scan(
     of the whole queue: a group whose head does not fit is skipped for the
     rest of the slot, and one whose head fits is admitted in bulk up to the
     point where the next head of equal rank interleaves.
+
+    Admissions only tighten the ledger, so two answers need no query: a
+    prompt longer than depth 1's room never fits again this slot, and a
+    group whose head fits alone has no second member that fits later.
     """
-    # ids are unique, so comparisons never reach the group
+    room = ledger.depth1_room()
+    # ids are unique, so comparisons never reach the group; a group is
+    # empty when both its lists are (see WaitingGroup)
     heap = []
     for group in groups:
-        if group:
+        if (group._main or group._side) and group.key[0] <= room:
             head = group.head()
             heap.append((group.key[1] if shortest_first else 0, head.arrival_slot, head.id, group))
     heapify(heap)
     taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
     acts: List[int] = []
     while heap:
-        rank, _, _, group = heappop(heap)
+        rank, _, rid, group = heappop(heap)
         prompt_len, assumed_len = group.key
+        if prompt_len > room:
+            continue  # depth 1 has no room for it left
         start = taken.get(group, 0)
         limit = len(group) - start
         take = ledger.max_admissible(prompt_len, assumed_len, limit)
         if take == 0:
             continue  # head infeasible: skip the whole group this slot
+        if take == 1:
+            # the head alone: a second copy does not fit now, nor later
+            ledger.admit_many(1, prompt_len, assumed_len, req_ids=(rid,), exact=exact)
+            acts.append(rid)
+            room = ledger.depth1_room()
+            continue
         if heap and heap[0][0] == rank:
             limit = group.count_before(heap[0][1], heap[0][2]) - start
             take = min(take, limit)
@@ -897,6 +931,7 @@ def _skip_scan(
         ids = [r.id for r in run[:take]]
         ledger.admit_many(take, prompt_len, assumed_len, req_ids=ids, exact=exact)
         acts.extend(ids)
+        room = ledger.depth1_room()
         taken[group] = start + take
         if take < limit or len(run) == take:
             continue  # the group's next member no longer fits, or there is none

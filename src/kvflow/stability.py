@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from kvflow.core import Rate, RequestClass, as_fraction, workload_tokens
+from kvflow.core import Rate, RequestClass, as_fraction, positive_int, workload_tokens
 from kvflow.engine import run as engine_run
 from kvflow.metrics import compute_metrics
 from kvflow.oracle import OBJECTIVES, is_improvement, objective_value
@@ -45,12 +45,10 @@ def _norm_classes(classes) -> List[Tuple[int, int, Optional[Fraction]]]:
             out.append((c.prompt_len, c.decode_len, as_fraction(c.rate)))
         else:
             tup = tuple(c)
-            if len(tup) == 2:
-                out.append((int(tup[0]), int(tup[1]), None))
-            elif len(tup) == 3:
-                out.append((int(tup[0]), int(tup[1]), as_fraction(tup[2])))
-            else:
+            if len(tup) not in (2, 3):
                 raise ValueError(f"class entry must be (l, o) or (l, o, rate), got {c!r}")
+            l, o = positive_int("prompt_len", tup[0]), positive_int("decode_len", tup[1])
+            out.append((l, o, as_fraction(tup[2]) if len(tup) == 3 else None))
     if not out:
         raise ValueError("need at least one request class")
     return out

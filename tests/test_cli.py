@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -151,6 +152,15 @@ class TestConfigErrors:
         self.check(tmp_path, doc, "rate")
         assert "rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["1e100000000", "1e-100000000", "7" * 100_000])
+    def test_huge_rate_string_is_refused_before_parsing(self, tmp_path, capsys, rate):
+        doc = base_config()
+        doc["workload"]["classes"][0]["rate"] = rate
+        start = time.perf_counter()
+        self.check(tmp_path, doc, "rate")
+        assert time.perf_counter() - start < 1
+        assert "field 'workload.classes[0].rate': number string" in capsys.readouterr().err
+
     def test_missing_kv_capacity(self, tmp_path, capsys):
         doc = base_config()
         del doc["kv_capacity"]
@@ -209,6 +219,24 @@ class TestConfigErrors:
         code = cli.main(["run", "-c", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_RUNTIME
         assert "error" in capsys.readouterr().err
+
+    def test_series_past_int64_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        doc = base_config(policy={"name": "flow_scalar", "params": {"budget": 1}}, kv_capacity=2**70)
+        doc["workload"]["classes"] = [{"prompt_len": 2**64, "decode_len": 3, "rate": 1}]
+        code = cli.main(["run", "-c", write_config(tmp_path, doc), "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_RUNTIME
+        assert f"error: series usage holds {2**64 + 1}" in capsys.readouterr().err
+
+    def test_capacity_past_int64_with_small_requests(self, tmp_path, capsys):
+        # the counts stay small, so the run works; the ledger's int64
+        # vector refuses such a capacity
+        doc = base_config(policy={"name": "flow_scalar", "params": {"budget": 1}}, kv_capacity=2**70)
+        assert cli.main(["run", "-c", write_config(tmp_path, doc), "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        capsys.readouterr()
+        doc["policy"] = {"name": "mc", "params": {}}
+        code = cli.main(["run", "-c", write_config(tmp_path, doc), "--out", str(tmp_path / "p")])
+        assert code == cli.EXIT_RUNTIME
+        assert "error: kv_capacity must be below 2**62 for a ledger policy" in capsys.readouterr().err
 
 
 class TestRun:

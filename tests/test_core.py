@@ -184,6 +184,14 @@ class TestRequestAndClass:
         with pytest.raises(ValueError):
             RequestClass(prompt_len=10, decode_len=20, rate=-0.1)
 
+    @pytest.mark.parametrize(
+        "prompt_len, decode_len, bad",
+        [(2.5, 3, "prompt_len must be a positive integer, got 2.5"), (2, 3.0, "decode_len must be a positive integer, got 3.0"), (True, 3, "prompt_len must be a positive integer, got True")],
+    )
+    def test_request_class_lengths_must_be_ints(self, prompt_len, decode_len, bad):
+        with pytest.raises(ValueError, match=bad):
+            RequestClass(prompt_len, decode_len, 1)
+
     def test_request_lifecycle_fields(self):
         r = Request(id=7, prompt_len=4, decode_len=9, arrival_slot=3)
         assert r.activation_slot is None

@@ -326,6 +326,14 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=f"request 2 has {bad}; it must be an integer >= 1"):
             run(arrivals, FixedSchedule({1: [1, 2]}), kv_capacity=100)
 
+    @pytest.mark.parametrize("rid, arrival, bad", [(1.5, 1, "id 1.5"), (2, 1.0, "arrival_slot 1.0"), (True, 1, "id True")])
+    def test_request_id_and_arrival_slot_must_be_integers(self, rid, arrival, bad):
+        # an id of 1.5 would read 1 in the %d rows of the events CSV and
+        # 1.5 in its decode rows
+        arrivals = [[req(3, 2, 3, 1), req(rid, 2, 3, arrival)], [], []]
+        with pytest.raises(ValueError, match=f"has {bad}; it must be an integer$"):
+            run(arrivals, FixedSchedule({1: [3]}), kv_capacity=100, record_events=True)
+
 
 class TestArrivalOrder:
     """A hand-built slot may list its requests in any order; run() queues
@@ -684,6 +692,12 @@ class TestArtifactBytes:
         text = (tmp_path / "fast.csv").read_bytes().decode()
         assert text.count(",decode_step,") == 5000
         assert f"8,decode_step,{big + 4999},{2**41 + 3}\r\n" in text
+
+    def test_percent_in_a_decode_entry_is_written_as_is(self, tmp_path):
+        # a hand-built entry: its fixed text goes through % formatting
+        events = [(1, "decode%s", (4, 5), "9%d"), (2, "%", (6,), 7)]
+        self.assert_same_events(events, tmp_path)
+        assert (tmp_path / "fast.csv").read_bytes().endswith(b"1,decode%s,5,9%d\r\n2,%,6,7\r\n")
 
     def test_entry_count(self, results):
         # one entry per non-decode row, plus one per slot with a nonempty

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from kvflow.core import Request, RequestClass, WaitingQueue, peak_projection
+from kvflow.core import EngineError, Request, RequestClass, WaitingQueue, peak_projection
 from kvflow.engine import Engine, run as engine_run
 from kvflow.policies import (
     POLICIES,
@@ -654,6 +655,149 @@ class TestAdmissionPlanner:
                     planner.complete(rid)
                     del live[rid]
         assert shifts > 24 * 69 // 2  # most steps took the shift, not a rebuild
+
+    def test_capacity_and_bookings_stay_within_int64(self):
+        with pytest.raises(ValueError, match="below 2\\*\\*62"):
+            AdmissionPlanner(2**62)
+        planner = AdmissionPlanner(2**62 - 1)
+        planner.admit_many(1, 2**61, 3, req_ids=[1])
+        before = planner.projection(5)
+        for book in (
+            lambda: planner.admit_many(1, 2**61, 3, req_ids=[2]),
+            lambda: planner.admit_many(1, 2**62, 1, req_ids=[2]),
+            lambda: planner.bootstrap(2, 5, 2**62, 1),
+        ):
+            with pytest.raises(EngineError, match="2\\*\\*62"):
+                book()
+            # refused before it changed anything
+            assert not planner.tracked(2) and planner.projection(5) == before
+        assert planner.max_admissible(2**61, 3, 5) == 0
+        assert planner.max_admissible(2**60, 3, 5) == 1
+
+
+# windows of a few slots, and up to 2 000
+WINDOW = st.one_of(st.integers(1, 12), st.integers(1, 2000))
+LEDGER_CAPACITY = 10**12
+
+
+class LedgerMachine(RuleBasedStateMachine):
+    """AdmissionPlanner driven through random sequences of its operations,
+    checked after every step against peak_projection over a registry the
+    test keeps itself: id -> [prompt_len, start slot, assumed length, exact],
+    where an entry counts prompt_len + generated + d at depth d while
+    generated + d <= its assumed length, and an entry that is not exact and
+    has outgrown it counts at depth 1 alone. Entries completed in this slot
+    leave the registry for finished, where they count at depth 1 until the
+    clock moves."""
+
+    def __init__(self):
+        super().__init__()
+        self.planner = AdmissionPlanner(LEDGER_CAPACITY)
+        self.clock = 0
+        self.live = {}
+        self.finished = []  # (prompt_len, generated) of this slot's completions
+        self.next_id = 1
+
+    def entries(self):
+        t = self.clock
+        for l, start, x, exact in self.live.values():
+            g = t - start
+            yield l, g, x if exact else max(x, g + 1)
+        for l, g in self.finished:
+            yield l, g, g + 1
+
+    def brute(self, horizon):
+        return peak_projection(self.entries(), horizon)
+
+    def book(self, l, x, exact, start=None):
+        rid = self.next_id
+        self.next_id += 1
+        self.live[rid] = [l, self.clock if start is None else start, x, exact]
+        return rid
+
+    @rule(l=st.integers(1, 60), generated=st.integers(0, 2100), assumed=WINDOW, exact=st.booleans())
+    def bootstrap(self, l, generated, assumed, exact):
+        rid = self.book(l, max(assumed, generated + 1), exact, start=self.clock - generated)
+        self.planner.bootstrap(rid, l, generated, assumed, exact)
+
+    @rule(count=st.integers(1, 4), l=st.integers(1, 60), x=WINDOW, exact=st.booleans(), ask=st.booleans())
+    def admit_many(self, count, l, x, exact, ask):
+        if ask:  # as a policy does: the query reads the dense vector first
+            self.planner.max_admissible(l, x, count)
+        ids = [self.book(l, x, exact) for _ in range(count)]
+        self.planner.admit_many(count, l, x, req_ids=ids, exact=exact)
+        assert self.planner.take_booked() == ids
+
+    @rule(l=st.integers(1, 60), x=WINDOW, big=st.sampled_from([2**62, 2**61]))
+    def oversized_booking(self, l, x, big):
+        # the int64 guard refuses it before it changes anything
+        with pytest.raises(EngineError):
+            self.planner.admit_many(2, big, x, req_ids=[-1, -2])
+        assert not self.planner.tracked(-1)
+
+    @rule(steps=st.one_of(st.just(1), st.integers(2, 3), st.integers(4, 2100)))
+    def advance(self, steps):
+        self.clock += steps
+        self.planner.advance(self.clock)
+        t = self.clock
+        # an entry that counts nowhere any more leaves the registry
+        self.live = {rid: e for rid, e in self.live.items() if not e[3] or e[1] + e[2] > t}
+        self.finished = []
+
+    @precondition(lambda self: self.live)
+    @rule(picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=3, unique=True))
+    def remove(self, picks):
+        ids = sorted(self.live)
+        rids = list(dict.fromkeys(ids[p % len(ids)] for p in picks))
+        self.planner.remove(*rids)
+        for rid in rids:
+            del self.live[rid]
+
+    @precondition(lambda self: self.live)
+    @rule(when=st.sampled_from(["early", "on_time", "late"]), picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=3))
+    def complete(self, when, picks):
+        t = self.clock
+        # the slot the entry's assumed length ends in, against this one
+        ends = {"early": lambda end: end > t, "on_time": lambda end: end == t, "late": lambda end: end < t}[when]
+        ids = [rid for rid, (_, start, x, _) in sorted(self.live.items()) if ends(start + x - 1)]
+        if not ids:
+            return
+        rids = list(dict.fromkeys(ids[p % len(ids)] for p in picks))
+        self.planner.complete(*rids)
+        for rid in rids:
+            l, start, x, exact = self.live.pop(rid)
+            g = t - start
+            if not exact or g < x:  # past its window an exact one counted nowhere
+                self.finished.append((l, g))
+
+    @rule(l=st.integers(1, 60), x=WINDOW, limit=st.integers(1, 50), slack=st.integers(-5, 400))
+    def max_admissible(self, l, x, limit, slack):
+        proj = self.brute(x)
+        capacity = max(proj) + l + x + slack
+        want = max(0, min([limit] + [(capacity - proj[d - 1]) // (l + d) for d in range(1, x + 1)]))
+        self.planner.kv_capacity = capacity
+        try:
+            got = self.planner.max_admissible(l, x, limit)
+            assert got == want and type(got) is int
+            assert self.planner.feasible(l, x) == (want > 0)
+        finally:
+            self.planner.kv_capacity = LEDGER_CAPACITY
+
+    @invariant()
+    def matches_brute_force(self):
+        horizon = max((x - g for _, g, x in self.entries()), default=0) + 2
+        got = self.planner.projection(horizon)
+        assert got == self.brute(horizon)
+        assert all(type(v) is int for v in got)
+        # B bounds every depth past the first
+        bound = self.planner._bound
+        assert all(got[d - 1] + d <= max(bound, d) for d in range(2, horizon + 1))
+
+
+TestLedgerMachine = LedgerMachine.TestCase
+TestLedgerMachine.settings = settings(
+    derandomize=True, max_examples=60, stateful_step_count=30, deadline=None, database=None
+)
 
 class TestFactoryAndSpec:
     def test_round_trips(self):

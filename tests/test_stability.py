@@ -68,6 +68,12 @@ class TestNecessaryKnown:
         with pytest.raises(ValueError):
             check_necessary_known([], 100)
 
+    @pytest.mark.parametrize("bad", [(2.5, 3.9, 1), (2, 3.9, 1), (True, 3, 1), (0, 3, 1)])
+    def test_rejects_lengths_that_are_not_positive_ints(self, bad):
+        # no truncation: (2.5, 3.9) is not the class (2, 3)
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            check_necessary_known([bad], 100)
+
     def test_exactness_at_one_token_margin(self):
         # 3 * w(7,9) = 3 * 108 = 324; floats could not distinguish these
         assert not check_necessary_known([(7, 9, 3)], 324).necessary_violated
