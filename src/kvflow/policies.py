@@ -461,21 +461,21 @@ class AdmissionPlanner:
         # vector reaches the deepest bin (B is read from there, and a shift
         # finds nothing past it), then on to the deepest depth asked for
         bins = self._bins
-        depth = len(bins) and max(bins) - t
-        rel = np.zeros(max(depth, self._maxx), np.int64)
-        cnt = np.zeros_like(rel)
+        depth = max(bins, default=t) - t
+        vec = np.zeros(max(depth, self._maxx), np.int64)
+        cnt = np.zeros_like(vec)
         if depth:
             at = np.fromiter(bins, np.int64, len(bins)) - (t + 1)
-            rel[at] = [m + c * t for m, c, _, _ in bins.values()]
+            vec[at] = [m + c * t for m, c, _, _ in bins.values()]
             cnt[at] = [b[1] for b in bins.values()]
-            # suffix sums, in place
-            rel[::-1].cumsum(out=rel[::-1])
+            vec[::-1].cumsum(out=vec[::-1])  # suffix sums, in place
             cnt[::-1].cumsum(out=cnt[::-1])
+        # base(d) + d = sum(m + c * t) + (sum(c) + 1) * d
         cnt += 1
-        cnt *= np.arange(1, len(rel) + 1)
-        rel += cnt
-        rel[0] = self._depth1()
-        self._vec = rel
+        cnt *= np.arange(1, len(vec) + 1)
+        vec += cnt
+        vec[0] = self._depth1()
+        self._vec = vec
 
     def _dense(self, upto: int) -> np.ndarray:
         """The dense vector at least upto deep, built from the bins unless
