@@ -36,10 +36,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kvflow import metrics, oracle, presets, stability, workload
-from kvflow.core import EngineError, as_fraction, rational
+from kvflow.core import EngineError, as_fraction, positive_int, rational
 from kvflow.engine import run as engine_run, write_events_csv
 from kvflow.oracle import OBJECTIVES
-from kvflow.policies import POLICIES, Policy, make_policy, positive_int
+from kvflow.policies import POLICIES, Policy, make_policy
 from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
 
 EXIT_OK = 0

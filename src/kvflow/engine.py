@@ -449,7 +449,8 @@ class Engine:
             try:
                 return np.asarray(xs, dtype=np.int64)
             except OverflowError:
-                value = next(x for x in xs if not -(2**63) <= x < 2**63)
+                # ravel an object array: class_waiting holds one tuple a slot
+                value = next(x for x in np.array(xs, dtype=object).ravel() if not -(2**63) <= x < 2**63)
                 raise EngineError(f"series {name} holds {value}, past the int64 range of a run result") from None
 
         return RunResult(

@@ -312,6 +312,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="kv_capacity must be a positive integer, got 100.5"):
             Engine(FixedSchedule({}), kv_capacity=100.5)
 
+    def test_per_class_series_past_int64_named(self):
+        engine = Engine(FixedSchedule({}), kv_capacity=10, track_classes=2)
+        engine.series_class_waiting.append((0, 2**63))
+        with pytest.raises(EngineError, match=f"series class_waiting holds {2**63}"):
+            engine.result()
+
     @pytest.mark.parametrize(
         "prompt_len, decode_len, bad",
         [

@@ -799,6 +799,7 @@ TestLedgerMachine.settings = settings(
     derandomize=True, max_examples=60, stateful_step_count=30, deadline=None, database=None
 )
 
+
 class TestFactoryAndSpec:
     def test_round_trips(self):
         assert isinstance(make_policy("flow_per_class", {"budgets": [4, 4, 4]}), PerClassFlowControl)
