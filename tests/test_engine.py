@@ -791,10 +791,10 @@ class TestPinnedDigests:
         ("flow_scalar", {"budget": 12}, "bb1d486969a76ab94ac0ec58990da8c4171b641a27404b46d2ee13c122bfb2cd"),
         ("alpha_protection", {"alpha": 0.6}, "dc4e22ebb7a2b17685ffa4c72690af9825684eee8d7ad3d45b59b6dcc9473dba"),
         ("mc", {"assume_max_output": 200}, "46bfe480be842d0f8775740ee742981e200e0e92bd4ce29276c6b6b4e706607a"),
+        ("amin", {"min_output": 1}, "a1f2ca1b4f44b6c864f270db0061fb44f25e55c9d7c99203fad01b645a907bf9"),
         # windows of 1 000 and 2 000 slots: the ledger's dense vector that deep
         ("mc", {"assume_max_output": 1000}, "2627e5ff45157f2b94b3a04d5589d3645c2f97e03fe680ccf66c049bbdbf961e"),
         ("mc", {"assume_max_output": 2000}, "d6b592d31101a9b41936fc5ebee4df2f4470a2c82eb17525231bf9e0aceaa0d5"),
-        ("amin", {"min_output": 1}, "a1f2ca1b4f44b6c864f270db0061fb44f25e55c9d7c99203fad01b645a907bf9"),
     ]
 
     @staticmethod
