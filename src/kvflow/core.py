@@ -17,7 +17,7 @@ from heapq import merge
 from numbers import Rational
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, Hashable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
 
 Rate = Union[int, float, Fraction]
 
@@ -152,14 +152,15 @@ def rational(name: str, value: object, within: Callable[[Rational], bool], what:
     name. An int stays as it is; a float (by its shortest decimal), a Fraction or
     a fraction string ("5/2") becomes a Fraction. A bool is not a number."""
     number = None
-    reason = _too_big(value) if isinstance(value, str) else None
-    if reason is not None:
-        raise ValueError(f"{name}: {reason}")
     if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
         try:
             number = value if isinstance(value, int) else as_fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass  # nan, inf, or a string that is no number
+        except ZeroDivisionError:
+            pass
+        except ValueError as exc:
+            if str(exc).startswith("number string"):  # too big to parse
+                raise ValueError(f"{name}: {exc}") from None
+            # nan, inf, or a string that is no number
     if number is None:
         raise ValueError(f"{name} must be a number or a fraction string, got {value!r}")
     if not within(number):
@@ -177,9 +178,7 @@ class WaitingGroup:
     the middle of the group costs O(group).
 
     Policies read a group (its length, head, order and count_before); only
-    the WaitingQueue that owns it changes it. A list whose live part is
-    gone is emptied, so a group is empty iff both lists are: a test that
-    needs no Python-level __len__ call.
+    the WaitingQueue that owns it changes it.
     """
 
     __slots__ = ("key", "_main", "_mhead", "_side", "_shead", "_sdirty")
@@ -246,14 +245,7 @@ class WaitingGroup:
         for entries, start in ((self._main, self._mhead), (self._side, self._shead)):
             for i in range(start, len(entries)):
                 if entries[i].id == req_id:
-                    r = entries.pop(i)
-                    if start == len(entries):  # it was the last live entry
-                        entries.clear()
-                        if entries is self._main:
-                            self._mhead = 0
-                        else:
-                            self._shead = 0
-                    return r
+                    return entries.pop(i)
         raise EngineError(f"request {req_id} is not in group {self.key!r}")
 
 
@@ -285,6 +277,13 @@ class WaitingQueue:
         """Every group made so far, by key (some may be empty); to read,
         not to change."""
         return self._groups
+
+    def live_groups(self) -> List[WaitingGroup]:
+        """The nonempty groups, in the order they were made."""
+        # remove empties a list once its head passes the last entry, and
+        # _take never takes a list's head, so a group is empty iff both its
+        # lists are: no Python-level __len__ call per group
+        return [g for g in self._groups.values() if g._main or g._side]
 
     def push(self, request: Request) -> None:
         """Append a fresh arrival. Keys must be nondecreasing over pushes."""

@@ -126,6 +126,10 @@ class PolicyView:
         group key."""
         return self._waiting.groups
 
+    def _live_groups(self) -> List[WaitingGroup]:
+        """The waiting queue's nonempty groups."""
+        return self._waiting.live_groups()
+
     def ledger(self, policy: "Policy") -> "AdmissionPlanner":
         """The footprint ledger of the active set, built on the first call.
 
@@ -189,8 +193,8 @@ class EvictionDecision:
     to_evict: List[int] = field(default_factory=list)
 
 
-# The ledger's int64 vector holds every entry below this bound, with room
-# for a range add of the same size on top.
+# The ledger keeps base(d) below this bound at every depth, so its int64
+# vector (base(d) + d) has room for a range add of the same size on top.
 INT64_ROOM = 2**62
 
 # Planner-side record of a booked request: identical candidates booked
@@ -246,8 +250,10 @@ class AdmissionPlanner:
     finish comes out of depths 2 and deeper.
 
     int64 wraps where Python ints never do, so kv_capacity must stay below
-    2**62 (INT64_ROOM), and a booking that lifts depth 1 or B to it raises
-    EngineError: every entry of the vector past depth 1 is at most B.
+    2**62 (INT64_ROOM), and a booking that lifts base(d) to it at some depth
+    raises EngineError. One that max_admissible allows keeps every base(d)
+    within kv_capacity, so it never does. The check reads depth 1 and B,
+    and the vector only where B cannot clear it.
 
     In a run the engine owns the one planner, the ledger of the active set
     (see PolicyView.ledger): policies query it and book the candidates they
@@ -295,13 +301,23 @@ class AdmissionPlanner:
                 b[2] += mass_abs
                 b[3] += count
 
-    def _raise_bound(self, depth: int, add: int) -> None:
-        """Raise B for a booking that reaches depth and adds at most add
-        at any depth; raise EngineError, before the booking changes
-        anything, where int64 would no longer hold it."""
+    def _raise_bound(self, depth: int, lift: int, count: int) -> None:
+        """Raise B for a booking that adds lift + count * d at each depth
+        d <= depth; raise EngineError, before the booking changes anything,
+        where it lifts base(d) to INT64_ROOM at some depth."""
+        add = lift + count * depth  # the most it adds at any depth
         bound = max(self._bound, depth) + add
-        if bound >= INT64_ROOM or self._depth1() + add >= INT64_ROOM:
-            raise EngineError(f"a booking of up to {add} tokens a slot lifts the ledger to 2**62, past what its int64 vector holds")
+        top = self._depth1() - 1 + lift + count  # base(1) after it
+        if bound >= INT64_ROOM:
+            # B bounds the depths past the first from above only: read them
+            top = max(top, add)
+            if depth > 1 and top < INT64_ROOM:
+                d = np.arange(2, depth + 1)
+                deep = self._dense(depth)[1:depth] - d + count * d  # base(d) after it, less lift
+                top = max(top, int(deep.max()) + lift)
+                bound = max(self._bound, top + depth)
+        if top >= INT64_ROOM:
+            raise EngineError(f"a booking lifts the ledger to {top} tokens or more at some depth, past the 2**62 its int64 vector holds")
         self._bound = bound
 
     def _depth1(self) -> int:
@@ -552,8 +568,8 @@ class AdmissionPlanner:
             return
         if len(req_ids) != count:
             raise ValueError(f"{len(req_ids)} ids name {count} candidates")
-        # each candidate holds prompt_len + d <= prompt_len + assumed_len at depth d
-        self._raise_bound(assumed_len, count * (prompt_len + assumed_len))
+        # each candidate holds prompt_len + d at depth d <= assumed_len
+        self._raise_bound(assumed_len, count * prompt_len, count)
         t = self._clock
         rem_abs = t + assumed_len
         mass_abs = prompt_len - t
@@ -583,7 +599,7 @@ class AdmissionPlanner:
         assumed length already counts as finishing one slot ahead."""
         t = self._clock
         left = max(assumed_len - generated, 1)
-        self._raise_bound(left, prompt_len + generated + left)
+        self._raise_bound(left, prompt_len + generated, 1)
         mass_abs = (prompt_len + generated) - t
         self._add_bin(t + left, mass_abs, 1, not exact)
         self._mass += mass_abs
@@ -883,8 +899,9 @@ class MemoryConstrained(Policy):
 def _skip_scan(
     ledger: AdmissionPlanner, groups: Iterable[WaitingGroup], shortest_first: bool, exact: bool
 ) -> List[int]:
-    """Admit waiting requests from groups keyed (prompt_len, assumed_len),
-    skipping past any that do not fit; the ids admitted, in order.
+    """Admit waiting requests from nonempty groups keyed (prompt_len,
+    assumed_len), skipping past any that do not fit; the ids admitted, in
+    order.
 
     Candidates are taken shortest assumed length first when shortest_first,
     then by (arrival_slot, id). Every waiting request of a group shares
@@ -893,23 +910,21 @@ def _skip_scan(
     rest of the slot, and one whose head fits is admitted in bulk up to the
     point where the next head of equal rank interleaves.
 
-    Admissions only tighten the ledger, so two answers need no query: a
-    prompt longer than depth 1's room never fits again this slot, and a
-    group whose head fits alone has no second member that fits later.
+    Admissions only tighten the ledger, so a prompt longer than depth 1's
+    room never fits again this slot and is passed over without a query.
     """
     room = ledger.depth1_room()
-    # ids are unique, so comparisons never reach the group; a group is
-    # empty when both its lists are (see WaitingGroup)
+    # ids are unique, so comparisons never reach the group
     heap = []
     for group in groups:
-        if (group._main or group._side) and group.key[0] <= room:
+        if group.key[0] <= room:
             head = group.head()
             heap.append((group.key[1] if shortest_first else 0, head.arrival_slot, head.id, group))
     heapify(heap)
     taken: Dict[WaitingGroup, int] = {}  # the prefix admitted so far
     acts: List[int] = []
     while heap:
-        rank, _, rid, group = heappop(heap)
+        rank, _, _, group = heappop(heap)
         prompt_len, assumed_len = group.key
         if prompt_len > room:
             continue  # depth 1 has no room for it left
@@ -918,12 +933,6 @@ def _skip_scan(
         take = ledger.max_admissible(prompt_len, assumed_len, limit)
         if take == 0:
             continue  # head infeasible: skip the whole group this slot
-        if take == 1:
-            # the head alone: a second copy does not fit now, nor later
-            ledger.admit_many(1, prompt_len, assumed_len, req_ids=(rid,), exact=exact)
-            acts.append(rid)
-            room = ledger.depth1_room()
-            continue
         if heap and heap[0][0] == rank:
             limit = group.count_before(heap[0][1], heap[0][2]) - start
             take = min(take, limit)
@@ -957,8 +966,7 @@ class ShortestFirstMemoryConstrained(MemoryConstrained):
         return (r.prompt_len, r.decode_len)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        groups = view._waiting_groups().values()
-        return ActivationDecision(_skip_scan(view.ledger(self), groups, shortest_first=True, exact=True))
+        return ActivationDecision(_skip_scan(view.ledger(self), view._live_groups(), shortest_first=True, exact=True))
 
 
 class AdaptivePrediction(Policy):
@@ -1001,8 +1009,7 @@ class AdaptivePrediction(Policy):
         return self.prediction(req_id)
 
     def decide(self, view: PolicyView) -> ActivationDecision:
-        groups = view._waiting_groups().values()
-        acts = _skip_scan(view.ledger(self), groups, shortest_first=False, exact=False)
+        acts = _skip_scan(view.ledger(self), view._live_groups(), shortest_first=False, exact=False)
         pred = self._pred
         if pred:
             # a raised prediction is booked in the ledger from now on

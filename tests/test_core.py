@@ -316,6 +316,7 @@ class TestWaitingQueue:
             members.sort(key=arrival_key)
         groups = q.groups
         assert {k for k, g in groups.items() if len(g)} == set(expected)
+        assert q.live_groups() == [g for g in groups.values() if len(g)]
         for key, members in expected.items():
             group = groups[key]
             assert len(group) == len(members)

@@ -674,6 +674,31 @@ class TestAdmissionPlanner:
         assert planner.max_admissible(2**61, 3, 5) == 0
         assert planner.max_admissible(2**60, 3, 5) == 1
 
+    def test_admissible_bookings_near_the_int64_bound_are_kept(self):
+        # at a capacity just below 2**62, every booking max_admissible allows
+        # keeps each depth within capacity; B, an upper bound that overshoots
+        # 2**62 here, must not refuse one of them
+        capacity = 2**62 - 1
+        planner = AdmissionPlanner(capacity)
+        live = []  # (prompt_len, generated, window) of every booking
+        overshot = False
+        for l, x, limit in ((2**61, 2000, 3), (2**61 - 5000, 2000, 3), (7, 1500, 50), (1, 300, 50), (2, 1, 50)):
+            proj = peak_projection(live, x)
+            want = min([limit] + [(capacity - proj[d - 1]) // (l + d) for d in range(1, x + 1)])
+            assert planner.max_admissible(l, x, limit) == want > 0
+            overshot |= max(planner._bound, x) + want * (l + x) >= 2**62
+            planner.admit_many(want, l, x, req_ids=range(len(live), len(live) + want))
+            live += [(l, 0, x)] * want
+            assert planner.projection(2001) == peak_projection(live, 2001)
+        assert overshot
+        # a booking that lifts a deep depth to 2**62, though neither depth 1
+        # nor its own footprint, is refused on that read
+        planner = AdmissionPlanner(capacity)
+        planner.admit_many(1, 1, 2000, req_ids=[1])
+        with pytest.raises(EngineError, match="2\\*\\*62"):
+            planner.admit_many(1, 2**62 - 3000, 2000, req_ids=[2])
+        assert not planner.tracked(2) and planner.projection(2000) == peak_projection([(1, 0, 2000)], 2000)
+
 
 # windows of a few slots, and up to 2 000
 WINDOW = st.one_of(st.integers(1, 12), st.integers(1, 2000))
