@@ -156,11 +156,10 @@ def rational(name: str, value: object, within: Callable[[Rational], bool], what:
         try:
             number = value if isinstance(value, int) else as_fraction(value)
         except ZeroDivisionError:
-            pass
-        except ValueError as exc:
-            if str(exc).startswith("number string"):  # too big to parse
+            pass  # "5/0"
+        except ValueError as exc:  # nan, inf, or a string that is no number
+            if str(exc).startswith("number string"):  # or one too big to parse
                 raise ValueError(f"{name}: {exc}") from None
-            # nan, inf, or a string that is no number
     if number is None:
         raise ValueError(f"{name} must be a number or a fraction string, got {value!r}")
     if not within(number):

@@ -307,6 +307,29 @@ class TestWaitingQueue:
                 taken.append(r)
             self.check_groups(q, live, (probe_slot % (slot + 2), probe_id % (next_id + 1)))
 
+    def test_live_groups_after_taking_the_last_entries_behind_a_head(self):
+        # removals from the middle leave each list's head in place, so a
+        # list that still holds entries always has a live one
+        q = WaitingQueue(lambda r: r.prompt_len)
+        for rid in (1, 2, 3):
+            q.push(Request(rid, 5, 1, 0))
+        q.push(Request(4, 6, 1, 0))
+        q.remove(1)  # the main list's head moves past a consumed entry
+        q.remove(3)  # the last entry, taken from behind the head
+        five, six = q.groups[5], q.groups[6]
+        assert q.live_groups() == [five, six] and five.head().id == 2
+        q.remove(2)
+        assert q.live_groups() == [six] and not five._main
+        for rid in (3, 1, 2):  # re-entries: the side list, then the same taking
+            q.readmit(Request(rid, 5, 1, 0))
+        q.remove(1)
+        q.remove(3)
+        assert q.live_groups() == [five, six] and five.head().id == 2
+        q.remove(2)
+        assert q.live_groups() == [six] and not five._side
+        q.remove(4)
+        assert q.live_groups() == []
+
     @staticmethod
     def check_groups(q, live, probe):
         expected = {}
