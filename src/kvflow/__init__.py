@@ -28,8 +28,6 @@ from kvflow.core import (
     Request,
     RequestClass,
     SimState,
-    peak_projection,
-    usage,
     workload_tokens,
 )
 from kvflow.engine import RunResult, event_rows, run
@@ -91,12 +89,10 @@ __all__ = [
     "ingest_trace",
     "make_policy",
     "overflow_bound",
-    "peak_projection",
     "preset",
     "recompute_from_events",
     "run",
     "solve",
-    "usage",
     "workload_tokens",
     "__version__",
 ]

@@ -17,7 +17,7 @@ from heapq import merge
 from numbers import Rational
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Union
 
 Rate = Union[int, float, Fraction]
 
@@ -347,8 +347,7 @@ class SimState:
 
     active preserves activation order (most recent last), which is what
     last-in-first-out eviction walks backwards. usage_total is the
-    incrementally maintained end-of-slot usage; usage() recomputes it from
-    scratch as an independent cross-check.
+    incrementally maintained end-of-slot usage.
     """
 
     kv_capacity: int
@@ -358,34 +357,3 @@ class SimState:
     active: dict = field(default_factory=dict)
     usage_total: int = 0
 
-
-def usage(state: SimState) -> int:
-    """Recompute end-of-slot cache usage over the active set.
-
-    A request activated at slot s has generated clock - s + 1 tokens by the
-    end of the current slot, so it holds prompt_len + clock - s + 1.
-    """
-    t = state.clock
-    return sum(r.prompt_len + (t - r.activation_slot + 1) for r in state.active.values())
-
-
-def peak_projection(
-    entries: Iterable[Tuple[int, int, int]], horizon: int
-) -> list:
-    """Projected end-of-slot usage for each of the next `horizon` slots.
-
-    entries are (prompt_len, generated, decode_len) triples for the active
-    set. Every request decodes one token per slot and leaves at the end of
-    the slot where generated reaches decode_len, so the entry at offset d
-    counts prompt_len + generated + d for exactly the requests with
-    generated + d <= decode_len.
-    """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    totals = [0] * horizon
-    for prompt_len, generated, decode_len in entries:
-        span = min(decode_len - generated, horizon)
-        base = prompt_len + generated
-        for d in range(1, span + 1):
-            totals[d - 1] += base + d
-    return totals

@@ -198,13 +198,22 @@ class _Search:
         self.objective = inst.objective
         self.minimize = inst.objective in _MINIMIZE
         self.usage = [0] * (inst.horizon + 1)  # 1-indexed slots
-        # best-case stats per request, used by the optimistic bounds:
-        # a request can complete at all only if arrival + o - 1 <= horizon
-        self.best_latency: List[Optional[int]] = []
-        for r in self.order:
-            can = r.arrival_slot + r.decode_len - 1 <= inst.horizon
-            self.best_latency.append(r.decode_len if can else None)
+        # best-case latencies still to place at each depth, sorted, for the
+        # optimistic bounds: a request can complete at all only if
+        # arrival + o - 1 <= horizon, and then no sooner than o slots on
+        self.rest: List[List[int]] = []
+        self.rest_sum: List[int] = []
+        for depth in range(len(self.order) + 1):
+            rest = sorted(
+                r.decode_len
+                for r in self.order[depth:]
+                if r.arrival_slot + r.decode_len - 1 <= inst.horizon
+            )
+            self.rest.append(rest)
+            self.rest_sum.append(sum(rest))
         self.best_value: Optional[Value] = None
+        # best_value as (numerator, denominator), None for inf
+        self.best_pair: Optional[Tuple[int, int]] = None
         self.best_schedule_slots: List[Optional[int]] = [None] * len(self.order)
         self.nodes = 0
         # running aggregates over the assigned prefix (completed only)
@@ -227,40 +236,46 @@ class _Search:
         ordered = sorted(self.lat)
         return Fraction(ordered[nearest_rank(n) - 1])
 
-    def _bound(self, depth: int) -> Value:
-        """Best value any completion of this partial assignment could reach."""
-        rest = [b for b in self.best_latency[depth:] if b is not None]
+    def _bound(self, depth: int) -> Optional[Tuple[int, int]]:
+        """Best value any completion of this partial assignment could reach,
+        as (numerator, denominator) with a positive denominator, or None
+        for inf. Plain ints: this runs at every node."""
+        rest = self.rest[depth]
         if self.objective == "request_throughput":
-            return Fraction(len(self.lat) + len(rest), self.horizon)
+            return len(self.lat) + len(rest), self.horizon
         if self.objective == "token_throughput":
-            return Fraction(self.tokens + sum(rest), self.horizon)
+            return self.tokens + self.rest_sum[depth], self.horizon
         if self.objective == "p95_latency":
             # with at most REQUEST_CAP completions the nearest-rank p95 is
             # the maximum, which future completions can only raise
             if self.lat:
-                return Fraction(max(self.lat))
-            return Fraction(min(rest)) if rest else math.inf
+                return max(self.lat), 1
+            return (rest[0], 1) if rest else None
         # avg_latency: future requests finish no faster than their decode
         # length; greedily admit the quickest while they pull the mean down
         total = sum(self.lat)
         n = len(self.lat)
         if n == 0 and not rest:
-            return math.inf
-        for b in sorted(rest):
+            return None
+        for b in rest:
             if n == 0 or b * n < total:
                 total += b
                 n += 1
             else:
                 break
-        return Fraction(total, n)
+        return total, n
 
     def _prunable(self, depth: int) -> bool:
         if self.best_value is None:
             return False
         bound = self._bound(depth)
+        best = self.best_pair
         if self.minimize:
-            return bound >= self.best_value
-        return bound <= self.best_value
+            # bound >= best, where None is inf
+            if bound is None:
+                return True
+            return best is not None and bound[0] * best[1] >= best[0] * bound[1]
+        return bound[0] * best[1] <= best[0] * bound[1]
 
     # ---- usage profile maintenance ----
 
@@ -303,6 +318,7 @@ class _Search:
             value = self._leaf_value()
             if is_improvement(value, self.best_value, self.objective):
                 self.best_value = value
+                self.best_pair = None if value == math.inf else (value.numerator, value.denominator)
                 self.best_schedule_slots = list(self.assignment)
             return
         if self._prunable(depth):

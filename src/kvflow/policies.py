@@ -509,7 +509,8 @@ class AdmissionPlanner:
         return vec
 
     def projection(self, horizon: int) -> List[int]:
-        """base(1..horizon); matches kvflow.core.peak_projection exactly."""
+        """base(1..horizon): the projected end-of-slot usage of the booked
+        requests d = 1..horizon slots ahead."""
         return (self._dense(horizon)[:horizon] - np.arange(1, horizon + 1)).tolist()
 
     def feasible(self, prompt_len: int, assumed_len: int) -> bool:

@@ -15,11 +15,10 @@ from kvflow.core import (
     RequestClass,
     SimState,
     WaitingQueue,
-    peak_projection,
-    usage,
     workload_tokens,
 )
 from kvflow.policies import PolicyView
+from references import peak_projection, usage
 
 # as in test_properties: derandomized, so a run is deterministic, and
 # failures shrink to a short operation sequence

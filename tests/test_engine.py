@@ -14,7 +14,7 @@ import pytest
 
 from kvflow.cli import write_usage_series_csv
 from kvflow.presets import builtin_trace_path
-from kvflow.core import EngineError, OversizedRequestError, Request, RequestClass, usage
+from kvflow.core import EngineError, OversizedRequestError, Request, RequestClass
 from kvflow.engine import (
     _EVENT_CHUNK_ROWS,
     EVENT_FIELDS,
@@ -32,6 +32,7 @@ from kvflow.policies import (
     make_policy,
 )
 from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
+from references import usage
 
 
 def req(rid, l, o, arrival, known=True, class_id=None):
@@ -340,10 +341,23 @@ class TestStateValidation:
         with pytest.raises(ValueError, match=f"has {bad}; it must be an integer$"):
             run(arrivals, FixedSchedule({1: [3]}), kv_capacity=100, record_events=True)
 
+    def test_numpy_integer_fields_accepted(self):
+        # they miss the exact-int fast test and pass the Integral checks
+        def stream(i):
+            return [[req(i(2), i(2), i(3), i(1)), req(i(1), i(2), i(3), i(1))], [req(i(3), i(1), i(1), i(2))], []]
+
+        runs = [
+            run(stream(i), FixedSchedule({1: [1, 2], 2: [3]}), kv_capacity=100, record_events=True)
+            for i in (int, np.int64)
+        ]
+        assert runs[0].events == runs[1].events
+        assert [rid for _, kind, rid, _ in runs[0].events if kind == "activate"] == [1, 2, 3]
+
 
 class TestArrivalOrder:
     """A hand-built slot may list its requests in any order; run() queues
-    them by (arrival_slot, id), so every policy serves them FIFO."""
+    them by (arrival_slot, id), so every policy serves them FIFO. Each
+    request must be fed in its own arrival slot."""
 
     @pytest.mark.parametrize(
         "name,params",
@@ -358,15 +372,26 @@ class TestArrivalOrder:
     )
     def test_slot_listed_out_of_order_is_served_fifo(self, name, params):
         arrivals = [
-            [req(5, 10, 4, 3, class_id=0), req(2, 10, 4, 1, class_id=0), req(3, 10, 4, 1, class_id=0)]
+            [req(3, 10, 4, 1, class_id=0), req(2, 10, 4, 1, class_id=0)],
+            [],
+            [req(5, 10, 4, 3, class_id=0)],
         ]
         r = run(arrivals, make_policy(name, params), kv_capacity=10**6, record_events=True)
         assert [rid for _, kind, rid, _ in r.events if kind == "activate"] == [2, 3, 5]
 
     def test_slot_ordering_before_an_earlier_slot_rejected(self):
-        arrivals = [[req(2, 1, 1, 2)], [req(1, 1, 1, 1)]]
-        with pytest.raises(EngineError, match="arrives after"):
-            run(arrivals, make_policy("mc", {}), kv_capacity=10)
+        # fed early, a request would be served before it arrives and could
+        # complete with a negative latency; fed late, it would order behind
+        # requests that arrived after it
+        policy = make_policy("mc", {})
+        for arrivals, message in [
+            ([[req(2, 1, 1, 2)], [req(1, 1, 1, 1)]], "request 2 has arrival_slot 2 but was fed in slot 1"),
+            ([[req(1, 1, 4, 7)]], "request 1 has arrival_slot 7 but was fed in slot 1"),
+            ([[], [req(4, 1, 1, 1)]], "request 4 has arrival_slot 1 but was fed in slot 2"),
+            ([[req(1, 1, 1, np.int64(1))], [req(2, 1, 1, np.int64(1))]], "request 2 has arrival_slot 1 but was fed in slot 2"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                run(arrivals, policy, kv_capacity=10)
 
 
 class TestIncrementalUsageMatchesRecompute:

@@ -13,6 +13,7 @@ from kvflow.engine import event_rows, run
 from kvflow.metrics import (
     CSV_FIELDS,
     MetricsReport,
+    _utilization,
     compute_metrics,
     least_squares_slope,
     recompute_from_events,
@@ -100,6 +101,56 @@ class TestLeastSquaresSlope:
     def test_short_series(self):
         assert least_squares_slope([5]) == 0.0
         assert least_squares_slope([]) == 0.0
+
+
+# the sizes cross numpy's pairwise-summation blocks (8 and 128 elements)
+REDUCTION_SIZES = (0, 1, 2, 7, 8, 9, 127, 128, 129, 1_000, 50_000)
+
+
+def slope_with_numpy_methods(y):
+    """least_squares_slope written with ndarray.mean."""
+    arr = np.asarray(y, dtype=np.float64)
+    n = len(arr)
+    if n < 2:
+        return 0.0
+    t = np.arange(1, n + 1, dtype=np.float64)
+    tc = t - t.mean()
+    return float(np.dot(tc, arr - arr.mean()) / np.dot(tc, tc))
+
+
+class TestReductionBits:
+    """_utilization and least_squares_slope call numpy's reduction ufuncs
+    directly; they must give the same bits as the ndarray methods."""
+
+    @pytest.mark.parametrize("n", REDUCTION_SIZES)
+    def test_utilization_equals_ndarray_methods(self, n):
+        rng = np.random.default_rng(n)
+        cases = [
+            (rng.integers(0, 16_493, n), 16_492),
+            (rng.integers(0, 8, n), 7),
+            (2**53 - rng.integers(0, 1_000, n), 2**62 - 1),
+            (rng.integers(2**52, 2**53, n), 2**53 + 1),
+        ]
+        for usage, kv in cases:
+            usage = usage.astype(np.int64)
+            if n == 0:
+                assert _utilization(usage, kv) == (0.0, 0.0, 0.0)
+                continue
+            u = usage.astype(np.float64) / float(kv)
+            assert _utilization(usage, kv) == (float(u.mean()), float(u.max()), float(u.std()))
+
+    @pytest.mark.parametrize("n", REDUCTION_SIZES)
+    def test_slope_equals_ndarray_methods(self, n):
+        rng = np.random.default_rng(n + 1)
+        series = [
+            rng.integers(0, 50, n),
+            2**53 - rng.integers(0, 1_000, n),
+            np.cumsum(rng.integers(0, 3, n)),
+            rng.random(n) * 1e6,
+        ]
+        for y in series:
+            assert least_squares_slope(y) == slope_with_numpy_methods(y)
+            assert least_squares_slope(y.tolist()) == slope_with_numpy_methods(y)
 
 
 class TestHandComputedReport:

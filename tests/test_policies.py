@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from kvflow.core import EngineError, Request, RequestClass, WaitingQueue, peak_projection
+from kvflow.core import EngineError, Request, RequestClass, WaitingQueue
 from kvflow.engine import Engine, run as engine_run
 from kvflow.policies import (
     POLICIES,
@@ -31,6 +31,7 @@ from kvflow.policies import (
     make_policy,
 )
 from kvflow.workload import WorkloadSpec
+from references import peak_projection
 
 
 def waiting_req(req_id, prompt_len, decode_len, arrival=1, class_id=None, known=True):
@@ -335,13 +336,13 @@ class TestShortestFirst:
     def test_tie_by_arrival_then_id(self):
         # listed out of order in one slot: the engine queues them by
         # (arrival slot, id), and the policy serves them in that order
-        waiting = [
-            waiting_req(5, 10, 4, arrival=3),
-            waiting_req(2, 10, 4, arrival=1),
-            waiting_req(3, 10, 4, arrival=1),
+        arrivals = [
+            [waiting_req(3, 10, 4, arrival=1), waiting_req(2, 10, 4, arrival=1)],
+            [],
+            [waiting_req(5, 10, 4, arrival=3)],
         ]
         result = engine_run(
-            [waiting], ShortestFirstMemoryConstrained(), kv_capacity=10**6, record_events=True
+            arrivals, ShortestFirstMemoryConstrained(), kv_capacity=10**6, record_events=True
         )
         assert [rid for _, kind, rid, _ in result.events if kind == "activate"] == [2, 3, 5]
 

@@ -2,7 +2,7 @@
 references, on random small workloads run through engine.run.
 
 Each reference is the policy's rule written out literally (over
-core.peak_projection for the projection-based ones), recomputed from the
+references.peak_projection for the projection-based ones), recomputed from the
 view every slot; the checked policies compare their own decision with it
 before handing it to the engine, and flow_scalar's is checked after the
 run against the budgets it drew. The admission ledger (AdmissionPlanner) is checked the same way
@@ -17,7 +17,7 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kvflow.core import Request, peak_projection
+from kvflow.core import Request
 from kvflow.engine import run as engine_run
 from kvflow.policies import (
     AdaptivePrediction,
@@ -28,6 +28,7 @@ from kvflow.policies import (
     ShortestFirstMemoryConstrained,
     make_policy,
 )
+from references import peak_projection
 
 PROPERTY = settings(
     derandomize=True,
@@ -320,7 +321,7 @@ def ledger_scripts(draw):
 
 def check_ledger(planner, booked, clock, slot, finishing=()):
     """feasible, max_admissible and (when the slot says so) projection
-    against core.peak_projection over the booked requests: an exact one
+    against references.peak_projection over the booked requests: an exact one
     holds its length, one that is not exact counts as at least one token
     past what it generated, and one finishing in this slot (finishing)
     counts in it alone."""
