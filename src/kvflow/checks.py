@@ -2,10 +2,11 @@
 
 Each check gates on the static precondition it needs (budget sufficiency,
 overload, or a positive load margin), returns "skipped" when the
-precondition fails, and otherwise runs the simulator across fixed seeds
-and verdicts "pass" or "fail". Seeds, horizons, and tolerances default to
-values fixed here so a failure is reproducible from the logged seed, not
-negotiable at call time.
+precondition fails or none of its policies applies, and otherwise runs
+the simulator across fixed seeds through engine.sweep and verdicts "pass"
+or "fail"; an empty seed list is an error. Seeds, horizons, and
+tolerances default to values fixed here so a failure is reproducible from
+the logged seed, not negotiable at call time.
 
 The almost-sure growth rate is checked at finite horizon with a 0.8
 safety factor on the theoretical slope; that is a finite-sample proxy,
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kvflow.core import workload_tokens
-from kvflow.engine import run as engine_run
+from kvflow.engine import run as engine_run, sweep
 from kvflow.metrics import compute_metrics
 from kvflow.policies import make_policy
 from kvflow.stability import (
@@ -27,7 +28,7 @@ from kvflow.stability import (
     check_necessary_unknown,
     check_sufficient_known,
 )
-from kvflow.workload import WorkloadSpec, generate_arrivals
+from kvflow.workload import WorkloadSpec
 
 PASS = "pass"
 FAIL = "fail"
@@ -123,22 +124,19 @@ def check_budgeted_no_overflow(
             details={"sufficiency": gate.as_dict()},
         )
     bound = gate.budgeted_load
+
+    def outcome(arrivals, policy, seed):
+        res = engine_run(arrivals, policy, kv_capacity, seed=seed)
+        return {
+            "seed": seed,
+            "overflow_slots": res.overflow_slots,
+            "evictions": res.eviction_count,
+            "max_usage": res.max_usage,
+        }
+
     policy = make_policy("flow_per_class", {"budgets": budgets})
-    per_seed: List[dict] = []
-    bad: List[int] = []
-    for seed in seeds:
-        res = engine_run(generate_arrivals(spec, seed), policy, kv_capacity, seed=seed)
-        ok = res.overflow_slots == 0 and res.eviction_count == 0 and res.max_usage <= bound
-        per_seed.append(
-            {
-                "seed": seed,
-                "overflow_slots": res.overflow_slots,
-                "evictions": res.eviction_count,
-                "max_usage": res.max_usage,
-            }
-        )
-        if not ok:
-            bad.append(seed)
+    per_seed = [run for (run,) in sweep(spec, [policy], seeds, outcome)]
+    bad = [r["seed"] for r in per_seed if r["overflow_slots"] or r["evictions"] or r["max_usage"] > bound]
     verdict = PASS if not bad else FAIL
     reason = "clean in every run" if not bad else f"violations at seeds {bad}"
     return CheckResult(
@@ -174,23 +172,30 @@ def check_overload_explosion(
         )
     threshold = explosion_threshold(load, kv_capacity, _max_workload(spec), safety)
     roster = []
+    left_out: List[str] = []
     for name, params in policies if policies is not None else EXPLOSION_POLICIES:
         if params is None:
             if budgets is None or spec.classes is None:
+                left_out.append(f"{name} (needs per-class budgets)")
                 continue
             params = {"budgets": budgets}
         policy = make_policy(name, params)
-        if policy.applicable(spec) is None:
-            roster.append((name, policy))
-    # one stream per seed, replayed under every policy
-    measured: List[List[float]] = [[] for _ in roster]  # per policy, one slope per seed
-    for seed in seeds:
-        arrivals = generate_arrivals(spec, seed)
-        for (_, policy), per_seed in zip(roster, measured):
-            per_seed.append(compute_metrics(engine_run(arrivals, policy, kv_capacity, seed=seed)).queue_growth_slope)
+        reason = policy.applicable(spec)
+        if reason is None:
+            roster.append(policy)
+        else:
+            left_out.append(f"{name} ({reason})")
+    if not roster:
+        return CheckResult(claim, SKIPPED, f"no policy applies: {', '.join(left_out)}")
+
+    def growth(arrivals, policy, seed):
+        return compute_metrics(engine_run(arrivals, policy, kv_capacity, seed=seed)).queue_growth_slope
+
+    measured = zip(*sweep(spec, roster, seeds, growth))  # per policy, one slope per seed
     slopes: List[dict] = []
     failures: List[str] = []
-    for (name, _), per_seed in zip(roster, measured):
+    for policy, per_seed in zip(roster, measured):
+        name = policy.name
         for seed, slope in zip(seeds, per_seed):
             slopes.append({"policy": name, "seed": seed, "slope": slope})
             if slope < threshold:
@@ -231,15 +236,15 @@ def check_overflow_rarity(
             details={"epsilon_exact": str(epsilon)},
         )
     draw_cap = policy.cap
-    observed = 0
-    cap_breaches: List[int] = []
-    per_seed: List[dict] = []
-    for seed in seeds:
-        res = engine_run(generate_arrivals(spec, seed), policy, kv_capacity, seed=seed)
-        observed += res.overflow_slots
-        if int(res.budgets.max()) > draw_cap:
-            cap_breaches.append(seed)
-        per_seed.append({"seed": seed, "overflow_slots": res.overflow_slots})
+
+    def outcome(arrivals, policy, seed):
+        res = engine_run(arrivals, policy, kv_capacity, seed=seed)
+        return res.overflow_slots, int(res.budgets.max())
+
+    runs = [run for (run,) in sweep(spec, [policy], seeds, outcome)]
+    observed = sum(overflow for overflow, _ in runs)
+    cap_breaches = [seed for seed, (_, drawn) in zip(seeds, runs) if drawn > draw_cap]
+    per_seed = [{"seed": seed, "overflow_slots": overflow} for seed, (overflow, _) in zip(seeds, runs)]
     verdict = PASS if observed == 0 and not cap_breaches else FAIL
     if verdict == PASS:
         reason = f"0 overflow slots across {len(list(seeds))} runs"

@@ -9,7 +9,8 @@ Subcommands
     ingest         normalize a raw trace file and summarize it
 
 Every command is driven by a single JSON config document (--config);
---seed, --out, --jobs, and --format override or extend it. Progress and
+--out and --format override or extend it, --seed does in run, compare and
+budget-search, and --jobs does in run and compare. Progress and
 human-readable tables go to stderr; stdout carries one machine-readable
 summary document, rendered as JSON or flat CSV per --format.
 
@@ -29,18 +30,18 @@ import os
 import statistics
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kvflow import metrics, oracle, presets, stability, workload
 from kvflow.core import EngineError, as_fraction, positive_int, rational
-from kvflow.engine import run as engine_run, write_events_csv
+from kvflow.engine import run as engine_run, sweep, write_events_csv
 from kvflow.oracle import OBJECTIVES
 from kvflow.policies import POLICIES, Policy, make_policy
-from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
+from kvflow.workload import WorkloadSpec, ingest_trace
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -216,6 +217,8 @@ def _parse_seeds(raw: dict, override: Optional[Sequence[int]], required: bool = 
     for s in seeds:
         if s < 0:
             raise ConfigError(f"field 'seeds' must be nonnegative, got {s}")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"field 'seeds' must not repeat a seed, got {seeds}")
     return [int(s) for s in seeds]
 
 
@@ -362,41 +365,6 @@ def _fnum(value) -> Optional[float]:
 # running
 
 
-def _run_task(task):
-    """One (spec, policy, seed) run; module-level so worker processes can import it."""
-    spec, name, params, kv_capacity, seed, record_events = task
-    arrivals = generate_arrivals(spec, seed)
-    result = engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed, record_events=record_events)
-    return result, metrics.compute_metrics(result)
-
-
-def _compare_task(task):
-    """Every policy on one seed's stream, generated once and replayed.
-
-    Per policy, in order: its usage series and metrics. The rest of a run
-    is dropped before the next one starts.
-    """
-    spec, policies, kv_capacity, seed = task
-    arrivals = generate_arrivals(spec, seed)
-    outs = []
-    for name, params in policies:
-        result = engine_run(arrivals, make_policy(name, params), kv_capacity, seed=seed)
-        outs.append((result.usage, metrics.compute_metrics(result)))
-        del result
-    return outs
-
-
-def _map_tasks(fn, tasks, jobs: int):
-    """Yield fn over tasks in submission order, in-process or across worker
-    processes; in-process, a task starts only once the caller took the
-    previous result."""
-    if jobs <= 1 or len(tasks) <= 1:
-        yield from map(fn, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        yield from pool.map(fn, tasks)
-
-
 def _aggregate_row(reports: Sequence[metrics.MetricsReport]) -> List[str]:
     """Mean and population std of every numeric sweep column, as 'm±s'."""
     row: List[str] = []
@@ -450,35 +418,27 @@ def read_sweep_csv(path) -> Tuple[List[metrics.MetricsReport], List[dict]]:
     return reports, aggregates
 
 
-def _emit_run_outputs(cfg: ExperimentConfig, seed: int, result, report) -> List[str]:
-    written = []
-    out = cfg.out_dir
-    if cfg.emit["metrics_json"]:
-        path = out / f"metrics_seed{seed}.json"
-        _atomic_write(path, report.write_json)
-        written.append(path.name)
-    if cfg.emit["series_csv"]:
-        path = out / f"series_seed{seed}.csv"
-        _atomic_write(path, result.write_series_csv)
-        written.append(path.name)
-    if cfg.emit["event_log"]:
-        path = out / f"events_seed{seed}.csv"
-        _atomic_write(path, lambda tmp: write_events_csv(result.events, tmp))
-        written.append(path.name)
-    return written
+def _run_seed(kv_capacity: int, out: Path, emit: Dict[str, bool], arrivals, policy: Policy, seed: int):
+    """One seed of `kvflow run`: the run, its files, and only its report kept."""
+    result = engine_run(arrivals, policy, kv_capacity, seed=seed, record_events=emit["event_log"])
+    report = metrics.compute_metrics(result)
+    if emit["metrics_json"]:
+        _atomic_write(out / f"metrics_seed{seed}.json", report.write_json)
+    if emit["series_csv"]:
+        _atomic_write(out / f"series_seed{seed}.csv", result.write_series_csv)
+    if emit["event_log"]:
+        _atomic_write(out / f"events_seed{seed}.csv", lambda tmp: write_events_csv(result.events, tmp))
+    return report
 
 
 def cmd_run(args) -> int:
     cfg = load_experiment(_single_config_path(args), args, mode="single")
     name, params = cfg.policies[0]
-    _require_applicable(name, params, cfg.spec)
-    tasks = [(cfg.spec, name, params, cfg.kv_capacity, seed, cfg.emit["event_log"]) for seed in cfg.seeds]
+    policy = _require_applicable(name, params, cfg.spec)
+    run_seed = partial(_run_seed, cfg.kv_capacity, cfg.out_dir, cfg.emit)
     reports = []
-    for result, report in _map_tasks(_run_task, tasks, args.jobs):
-        # written as it arrives: only the report outlives a seed's run
+    for (report,) in sweep(cfg.spec, [policy], cfg.seeds, run_seed, args.jobs):
         reports.append(report)
-        _emit_run_outputs(cfg, report.seed, result, report)
-        del result
         avg = report.avg_latency
         _status(
             f"seed {report.seed}: completed {report.completed}/{report.arrivals}, "
@@ -487,9 +447,9 @@ def cmd_run(args) -> int:
             f"overflow slots {report.overflow_events}"
         )
     if cfg.emit["metrics_csv"]:
-        sweep = cfg.out_dir / "sweep.csv"
-        write_sweep_csv(reports, sweep)
-        _status(f"wrote {sweep}")
+        table = cfg.out_dir / "sweep.csv"
+        write_sweep_csv(reports, table)
+        _status(f"wrote {table}")
     summary = {
         "command": "run",
         "policy": name,
@@ -578,6 +538,11 @@ def _policy_labels(policies: Sequence[Tuple[str, dict]]) -> List[str]:
     return labels
 
 
+def _usage_and_report(kv_capacity: int, arrivals, policy: Policy, seed: int):
+    result = engine_run(arrivals, policy, kv_capacity, seed=seed)
+    return result.usage, metrics.compute_metrics(result)
+
+
 def cmd_compare(args) -> int:
     paths = args.config or []
     if not paths:
@@ -599,11 +564,10 @@ def cmd_compare(args) -> int:
     labels = _policy_labels(policies)
     spec, seeds, kv = base.spec, base.seeds, base.kv_capacity
     out = args.out and Path(args.out) or base.out_dir
-    reasons = [make_policy(name, params).applicable(spec) for name, params in policies]
-    runnable = [p for p, reason in zip(policies, reasons) if reason is None]
-    # one task per seed runs every applicable policy on that seed's stream
-    tasks = [(spec, runnable, kv, seed) for seed in seeds]
-    per_seed = list(_map_tasks(_compare_task, tasks, args.jobs)) if runnable else []
+    built = [make_policy(name, params) for name, params in policies]
+    reasons = [policy.applicable(spec) for policy in built]
+    runnable = [policy for policy, reason in zip(built, reasons) if reason is None]
+    per_seed = sweep(spec, runnable, seeds, partial(_usage_and_report, kv), args.jobs) if runnable else ()
     by_policy = zip(*per_seed)
     rows: List[dict] = []
     for label, (name, params), reason in zip(labels, policies, reasons):

@@ -39,9 +39,11 @@ from __future__ import annotations
 
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from numbers import Integral
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from kvflow.core import (
     WaitingQueue,
 )
 from kvflow.policies import Policy, PolicyView
-from kvflow.workload import ArrivalStream
+from kvflow.workload import ArrivalStream, WorkloadSpec, generate_arrivals
 
 POLICY_STREAM_TAG = 1
 
@@ -561,3 +563,32 @@ def run(
     if counts is not None and track_classes:
         result.class_arrivals = counts
     return result
+
+
+def _sweep_seed(spec: WorkloadSpec, policies: Tuple[Policy, ...], fn: Callable, seed: int) -> list:
+    """One seed of a sweep: its stream, generated once, under every policy."""
+    arrivals = generate_arrivals(spec, seed)
+    return [fn(arrivals, policy, seed) for policy in policies]
+
+
+def sweep(
+    spec: WorkloadSpec, policies: Sequence[Policy], seeds: Sequence[int], fn: Callable, jobs: int = 1
+) -> Iterator[list]:
+    """Compare policies seed by seed on shared streams.
+
+    For each seed, in seed order, yields [fn(arrivals, policy, seed) for
+    policy in policies], with each seed's stream generated once. fn calls
+    run itself (which resets the policy) and returns only what the caller
+    keeps. In-process, a seed starts only once the caller has taken the
+    previous one; with jobs > 1 the seeds run in worker processes, so the
+    spec, the policies and fn must pickle. An empty seeds is an error.
+    """
+    seeds = list(seeds)
+    if not seeds:
+        raise ValueError("need at least one seed")
+    task = partial(_sweep_seed, spec, tuple(policies), fn)
+    if jobs <= 1 or len(seeds) <= 1:
+        yield from map(task, seeds)
+        return
+    with ProcessPoolExecutor(max_workers=min(jobs, len(seeds))) as pool:
+        yield from pool.map(task, seeds)

@@ -17,7 +17,7 @@ float renderings, which keeps the row round-trippable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -161,31 +161,12 @@ class MetricsReport:
             fh.write("\n")
 
     def to_csv_row(self) -> List[str]:
-        avg = self.avg_latency
-        vals = {
-            "policy": self.policy,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "kv_capacity": self.kv_capacity,
-            "arrivals": self.arrivals,
-            "completed": self.completed,
-            "unfinished": self.unfinished,
-            "latency_sum": self.latency_sum,
-            "p95_latency": "" if self.p95_latency is None else self.p95_latency,
-            "retained_tokens": self.retained_tokens,
-            "wasted_tokens": self.wasted_tokens,
-            "overflow_events": self.overflow_events,
-            "eviction_events": self.eviction_events,
-            "avg_latency": "" if avg is None else float(avg),
-            "request_throughput": float(self.request_throughput),
-            "token_throughput": float(self.token_throughput),
-            "token_throughput_incl_wasted": float(self.token_throughput_incl_wasted),
-            "kv_util_mean": self.kv_util_mean,
-            "kv_util_max": self.kv_util_max,
-            "kv_util_std": self.kv_util_std,
-            "queue_growth_slope": self.queue_growth_slope,
-        }
-        return [str(vals[name]) for name in CSV_FIELDS]
+        """The CSV_FIELDS values: fractions as floats, None as a blank."""
+        row = []
+        for name in CSV_FIELDS:
+            value = getattr(self, name)
+            row.append("" if value is None else str(float(value) if isinstance(value, Fraction) else value))
+        return row
 
     @classmethod
     def from_csv_row(cls, row: Sequence[str]) -> "MetricsReport":
@@ -193,25 +174,16 @@ class MetricsReport:
         if len(row) != len(CSV_FIELDS):
             raise ValueError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
         get = dict(zip(CSV_FIELDS, row))
-        return cls(
-            policy=get["policy"],
-            seed=int(get["seed"]),
-            horizon=int(get["horizon"]),
-            kv_capacity=int(get["kv_capacity"]),
-            arrivals=int(get["arrivals"]),
-            completed=int(get["completed"]),
-            unfinished=int(get["unfinished"]),
-            latency_sum=int(get["latency_sum"]),
-            p95_latency=None if get["p95_latency"] == "" else int(get["p95_latency"]),
-            retained_tokens=int(get["retained_tokens"]),
-            wasted_tokens=int(get["wasted_tokens"]),
-            overflow_events=int(get["overflow_events"]),
-            eviction_events=int(get["eviction_events"]),
-            kv_util_mean=float(get["kv_util_mean"]),
-            kv_util_max=float(get["kv_util_max"]),
-            kv_util_std=float(get["kv_util_std"]),
-            queue_growth_slope=float(get["queue_growth_slope"]),
-        )
+        return cls(**{f.name: _CSV_PARSERS[f.type](get[f.name]) for f in fields(cls)})
+
+
+# how from_csv_row reads each stored field, keyed by its annotation
+_CSV_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "Optional[int]": lambda text: None if text == "" else int(text),
+}
 
 
 def _utilization(usage: np.ndarray, kv_capacity: int) -> Tuple[float, float, float]:

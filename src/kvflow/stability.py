@@ -28,11 +28,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from kvflow.core import Rate, RequestClass, as_fraction, positive_int, workload_tokens
-from kvflow.engine import run as engine_run
+from kvflow.engine import run as engine_run, sweep
 from kvflow.metrics import compute_metrics
 from kvflow.oracle import OBJECTIVES, is_improvement, objective_value
 from kvflow.policies import POLICIES, class_budgets, make_policy
-from kvflow.workload import LengthDistribution, generate_arrivals
+from kvflow.workload import LengthDistribution
 
 NEGLIGIBLE_LOG = -700.0
 
@@ -416,17 +416,13 @@ def budget_search(
     grid = list(grid)
     if not grid:
         raise ValueError("grid must not be empty")
-    if not seeds:
-        raise ValueError("need at least one seed")
 
     built = [make_policy(policy, {**(params or {}), searched: point}) for point in grid]
-    # one stream per seed, replayed under every grid point
-    measured: List[list] = [[] for _ in grid]  # per grid point, one report per seed
-    for seed in seeds:
-        arrivals = generate_arrivals(spec, seed=seed)
-        for pol, reports in zip(built, measured):
-            reports.append(compute_metrics(engine_run(arrivals, pol, kv_capacity, seed=seed)))
 
+    def report(arrivals, pol, seed):
+        return compute_metrics(engine_run(arrivals, pol, kv_capacity, seed=seed))
+
+    measured = zip(*sweep(spec, built, seeds, report))  # per grid point, one report per seed
     rows: List[dict] = []
     best_idx = None
     best_value = None

@@ -61,6 +61,10 @@ class TestBudgetedNoOverflow:
         assert result.passed
         assert all(r["max_usage"] == 0 for r in result.details["runs"])
 
+    def test_no_seeds_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            checks.check_budgeted_no_overflow(small_known_spec(), (2, 2), 100, seeds=())
+
     def test_deterministic(self):
         spec = small_known_spec()
         a = checks.check_budgeted_no_overflow(spec, (2, 2), 100, seeds=(0, 1))
@@ -146,6 +150,21 @@ class TestOverloadExplosion:
         assert "mc_sf" not in names
         assert "mc" not in names
 
+    def test_no_applicable_policy_skips(self):
+        records = [TraceRecord(3, 4)] * 4000
+        spec = WorkloadSpec.from_trace(records, rate=2, horizon=500)
+        result = checks.check_overload_explosion(spec, 30, policies=(("mc", {}), ("mc_sf", {})), seeds=(0,))
+        assert result.skipped
+        assert result.reason.startswith("no policy applies: mc (")
+        assert "mc_sf (needs visible output lengths)" in result.reason
+
+    def test_missing_budgets_named_when_nothing_applies(self):
+        records = [TraceRecord(3, 4)] * 4000
+        spec = WorkloadSpec.from_trace(records, rate=2, horizon=500)
+        result = checks.check_overload_explosion(spec, 30, policies=(("flow_per_class", None),), seeds=(0,))
+        assert result.skipped
+        assert result.reason == "no policy applies: flow_per_class (needs per-class budgets)"
+
     @run_slow
     def test_full_size_preset(self):
         spec = WorkloadSpec.synthetic(
@@ -198,6 +217,10 @@ class TestOverflowRarity:
         result = checks.check_overflow_rarity(spec, "9/5", 750, seeds=(0,))
         assert result.verdict == checks.FAIL
         assert "overflow slots observed" in result.reason
+
+    def test_no_seeds_is_an_error(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            checks.check_overflow_rarity(small_known_spec(horizon=2000), 1, 100, seeds=())
 
     def test_full_size_preset(self):
         spec = WorkloadSpec.synthetic(BIG_CLASSES, horizon=10000, outputs_known=False)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kvflow import cli, metrics, oracle, stability
+from kvflow import cli, engine, metrics, oracle, stability
 from kvflow.engine import run as engine_run
 from kvflow.policies import make_policy
 from kvflow.workload import WorkloadSpec, generate_arrivals
@@ -82,6 +82,17 @@ class TestConfigErrors:
         code = cli.main(["run", "-c", write_config(tmp_path, base_config(seeds=[]))])
         assert code == cli.EXIT_CONFIG
         assert "'seeds'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_repeated_seed(self, tmp_path, capsys, where):
+        doc = base_config(seeds=[0, 1, 0] if where == "config" else [1])
+        out = tmp_path / "out"
+        argv = ["run", "-c", write_config(tmp_path, doc), "--out", str(out)]
+        if where == "flag":
+            argv += ["--seed", "0", "--seed", "0"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        assert "'seeds'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seed_type(self, tmp_path, capsys):
         code = cli.main(["run", "-c", write_config(tmp_path, base_config(seeds=[0, "x"]))])
@@ -313,18 +324,18 @@ class TestRun:
         doc = base_config(seeds=[0, 1, 2], emit={"series_csv": True, "event_log": True})
         cfg = write_config(tmp_path, doc)
         one, two = tmp_path / "jobs1", tmp_path / "jobs2"
-        real_task = cli._run_task
+        real_seed = engine._sweep_seed
         started, missing = [], []
 
-        def run_task(task):
+        def sweep_seed(spec, policies, fn, seed):
             for prev in started:
                 for name in (f"metrics_seed{prev}.json", f"series_seed{prev}.csv", f"events_seed{prev}.csv"):
                     if not (one / name).exists():
                         missing.append(name)
-            started.append(task[4])
-            return real_task(task)
+            started.append(seed)
+            return real_seed(spec, policies, fn, seed)
 
-        monkeypatch.setattr(cli, "_run_task", run_task)
+        monkeypatch.setattr(engine, "_sweep_seed", sweep_seed)
         assert cli.main(["run", "-c", cfg, "--out", str(one), "--jobs", "1"]) == 0
         monkeypatch.undo()
         assert started == [0, 1, 2] and missing == []
