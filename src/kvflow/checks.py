@@ -160,7 +160,8 @@ def check_overload_explosion(
     least linearly under every policy.
 
     Works for synthetic mixes and trace replays alike: the load is the
-    (empirical) mean lifetime cost times the arrival rate.
+    (empirical) mean lifetime cost times the arrival rate. Policies that
+    cannot run on the spec are left out and named in details["left_out"].
     """
     claim = "overload grows the backlog linearly under every policy"
     load = _offered_load(spec)
@@ -206,12 +207,14 @@ def check_overload_explosion(
         if not failures
         else f"below threshold {threshold:.3f}: {failures}"
     )
+    if left_out:
+        reason += f"; left out: {', '.join(left_out)}"
     return CheckResult(
         claim,
         verdict,
         reason,
         seeds=tuple(seeds),
-        details={"offered_load": float(load), "threshold": threshold, "slopes": slopes},
+        details={"offered_load": float(load), "threshold": threshold, "slopes": slopes, "left_out": left_out},
     )
 
 

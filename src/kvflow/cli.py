@@ -400,24 +400,6 @@ def write_sweep_csv(reports: Sequence[metrics.MetricsReport], path) -> None:
     _atomic_write(Path(path), _write)
 
 
-def read_sweep_csv(path) -> Tuple[List[metrics.MetricsReport], List[dict]]:
-    """Read a sweep file back: exact per-seed reports plus raw aggregate rows."""
-    reports: List[metrics.MetricsReport] = []
-    aggregates: List[dict] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != list(metrics.CSV_FIELDS):
-            raise ValueError(f"{path} is not a sweep file (header {header})")
-        seed_col = metrics.CSV_FIELDS.index("seed")
-        for row in reader:
-            if row[seed_col] == "aggregate":
-                aggregates.append(dict(zip(metrics.CSV_FIELDS, row)))
-            else:
-                reports.append(metrics.MetricsReport.from_csv_row(row))
-    return reports, aggregates
-
-
 def _run_seed(kv_capacity: int, out: Path, emit: Dict[str, bool], arrivals, policy: Policy, seed: int):
     """One seed of `kvflow run`: the run, its files, and only its report kept."""
     result = engine_run(arrivals, policy, kv_capacity, seed=seed, record_events=emit["event_log"])

@@ -17,7 +17,8 @@ float renderings, which keeps the row round-trippable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,8 +75,53 @@ CSV_FIELDS = (
 )
 
 
+class _Ratios:
+    """The exact per-run ratios over horizon, completed, latency_sum and
+    retained_tokens, in one place for MetricsReport and RunOutcome."""
+
+    __slots__ = ()
+
+    @property
+    def avg_latency(self) -> Optional[Fraction]:
+        if self.completed == 0:
+            return None
+        return Fraction(self.latency_sum, self.completed)
+
+    @property
+    def request_throughput(self) -> Fraction:
+        if self.horizon == 0:
+            return Fraction(0)
+        return Fraction(self.completed, self.horizon)
+
+    @property
+    def token_throughput(self) -> Fraction:
+        if self.horizon == 0:
+            return Fraction(0)
+        return Fraction(self.retained_tokens, self.horizon)
+
+
+class RunOutcome(namedtuple("RunOutcome", "horizon completed latency_sum p95_latency retained_tokens"), _Ratios):
+    """The report fields the oracle's objectives read; p95_latency is the
+    nearest-rank order statistic, None with zero completions."""
+
+    __slots__ = ()
+
+
+def _outcome(horizon: int, latencies: List[int], retained_tokens: int) -> RunOutcome:
+    n = len(latencies)
+    if not n:
+        return RunOutcome(horizon, 0, 0, None, retained_tokens)
+    ordered = sorted(latencies)  # Python ints from every caller
+    return RunOutcome(horizon, n, sum(ordered), ordered[nearest_rank(n) - 1], retained_tokens)
+
+
+def run_outcome(result: RunResult) -> RunOutcome:
+    """compute_metrics(result)'s objective fields, without the rest."""
+    return _outcome(result.horizon, result.latencies().tolist(), int(result.completed_decode_len.sum()))
+
+
 @dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(_Ratios):
     """Summary metrics of one run.
 
     latency_sum is the integer sum of completed-request latencies, so
@@ -101,24 +147,6 @@ class MetricsReport:
     kv_util_max: float
     kv_util_std: float
     queue_growth_slope: float
-
-    @property
-    def avg_latency(self) -> Optional[Fraction]:
-        if self.completed == 0:
-            return None
-        return Fraction(self.latency_sum, self.completed)
-
-    @property
-    def request_throughput(self) -> Fraction:
-        if self.horizon == 0:
-            return Fraction(0)
-        return Fraction(self.completed, self.horizon)
-
-    @property
-    def token_throughput(self) -> Fraction:
-        if self.horizon == 0:
-            return Fraction(0)
-        return Fraction(self.retained_tokens, self.horizon)
 
     @property
     def token_throughput_incl_wasted(self) -> Fraction:
@@ -168,23 +196,6 @@ class MetricsReport:
             row.append("" if value is None else str(float(value) if isinstance(value, Fraction) else value))
         return row
 
-    @classmethod
-    def from_csv_row(cls, row: Sequence[str]) -> "MetricsReport":
-        """Rebuild a report from a to_csv_row() line, exactly."""
-        if len(row) != len(CSV_FIELDS):
-            raise ValueError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
-        get = dict(zip(CSV_FIELDS, row))
-        return cls(**{f.name: _CSV_PARSERS[f.type](get[f.name]) for f in fields(cls)})
-
-
-# how from_csv_row reads each stored field, keyed by its annotation
-_CSV_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "Optional[int]": lambda text: None if text == "" else int(text),
-}
-
 
 def _utilization(usage: np.ndarray, kv_capacity: int) -> Tuple[float, float, float]:
     n = len(usage)
@@ -202,38 +213,28 @@ def _utilization(usage: np.ndarray, kv_capacity: int) -> Tuple[float, float, flo
 def _build_report(
     policy: str,
     seed: int,
-    horizon: int,
     kv_capacity: int,
     arrivals: int,
-    latencies: List[int],
-    retained_tokens: int,
+    outcome: RunOutcome,
     wasted_tokens: int,
     overflow_events: int,
     eviction_events: int,
     usage: np.ndarray,
     unfinished: np.ndarray,
 ) -> MetricsReport:
-    n = len(latencies)
-    if n:
-        ordered = sorted(latencies)  # Python ints from both callers
-        latency_sum = sum(ordered)
-        p95 = ordered[nearest_rank(n) - 1]
-    else:
-        latency_sum = 0
-        p95 = None
     util_mean, util_max, util_std = _utilization(usage, kv_capacity)
     final_unfinished = int(unfinished[-1]) if len(unfinished) else 0
     return MetricsReport(
         policy=policy,
         seed=seed,
-        horizon=horizon,
+        horizon=outcome.horizon,
         kv_capacity=kv_capacity,
         arrivals=arrivals,
-        completed=n,
+        completed=outcome.completed,
         unfinished=final_unfinished,
-        latency_sum=latency_sum,
-        p95_latency=p95,
-        retained_tokens=retained_tokens,
+        latency_sum=outcome.latency_sum,
+        p95_latency=outcome.p95_latency,
+        retained_tokens=outcome.retained_tokens,
         wasted_tokens=wasted_tokens,
         overflow_events=overflow_events,
         eviction_events=eviction_events,
@@ -249,11 +250,9 @@ def compute_metrics(result: RunResult) -> MetricsReport:
     return _build_report(
         policy=result.policy_name,
         seed=result.seed,
-        horizon=result.horizon,
         kv_capacity=result.kv_capacity,
         arrivals=result.arrivals_total,
-        latencies=result.latencies().tolist(),
-        retained_tokens=int(result.completed_decode_len.sum()),
+        outcome=run_outcome(result),
         wasted_tokens=result.wasted_tokens,
         overflow_events=result.overflow_slots,
         eviction_events=result.eviction_count,
@@ -338,11 +337,9 @@ def recompute_from_events(
     return _build_report(
         policy=policy,
         seed=seed,
-        horizon=horizon,
         kv_capacity=kv_capacity,
         arrivals=arrivals,
-        latencies=latencies,
-        retained_tokens=retained,
+        outcome=_outcome(horizon, latencies, retained),
         wasted_tokens=wasted,
         overflow_events=overflow,
         eviction_events=evictions,

@@ -22,15 +22,17 @@ Exactness is the contract, so instances are capped at 10 requests and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from numbers import Integral
 from typing import Dict, List, Optional, Tuple, Union
 
-from kvflow.core import Request, nearest_rank
+from kvflow.core import ARRIVAL_ORDER, Request, nearest_rank
 from kvflow.engine import EventEntry, event_rows, run as engine_run
-from kvflow.metrics import MetricsReport, compute_metrics
+from kvflow.metrics import MetricsReport, RunOutcome, compute_metrics, run_outcome
 from kvflow.policies import FixedSchedule, Policy
+from kvflow.workload import ArrivalStream
 
 REQUEST_CAP = 10
 HORIZON_CAP = 40
@@ -41,18 +43,38 @@ _MINIMIZE = frozenset({"avg_latency", "p95_latency"})
 Value = Union[Fraction, float]  # exact rational, or math.inf for "no completions"
 
 
+def _integer(value, what: str, least: Optional[int] = None) -> int:
+    """value as a plain int (numpy ints pass; bools, floats, strings do not)."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
+        value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class OfflineRequest:
+    """One request of an instance; its integer fields are checked and kept as ints."""
+
     id: int
     prompt_len: int
     decode_len: int
     arrival_slot: int
     class_id: Optional[int] = None  # only per-class policies look at this
 
+    def __post_init__(self) -> None:
+        set_field = partial(object.__setattr__, self)
+        set_field("id", _integer(self.id, f"request {self.id!r}: id"))
+        for name, least in (("prompt_len", 1), ("decode_len", 1), ("arrival_slot", None)):
+            set_field(name, _integer(getattr(self, name), f"request {self.id}: {name}", least))
+
 
 @dataclass(frozen=True)
 class OfflineInstance:
-    """A fully known scheduling instance small enough for exact search."""
+    """A fully known scheduling instance small enough for exact search,
+    its fields checked once, when it is built."""
 
     requests: Tuple[OfflineRequest, ...]
     kv_capacity: int
@@ -64,22 +86,26 @@ class OfflineInstance:
             raise ValueError(
                 f"unknown objective {self.objective!r}; known: {', '.join(OBJECTIVES)}"
             )
-        if len(self.requests) > REQUEST_CAP:
+        requests = tuple(self.requests)
+        if len(requests) > REQUEST_CAP:
             raise ValueError(
-                f"{len(self.requests)} requests exceed the exact-search cap of {REQUEST_CAP}"
+                f"{len(requests)} requests exceed the exact-search cap of {REQUEST_CAP}"
             )
-        if not 1 <= self.horizon <= HORIZON_CAP:
-            raise ValueError(f"horizon must be in 1..{HORIZON_CAP}, got {self.horizon}")
-        if self.kv_capacity < 1:
-            raise ValueError("kv_capacity must be positive")
+        horizon = _integer(self.horizon, "horizon")
+        if not 1 <= horizon <= HORIZON_CAP:
+            raise ValueError(f"horizon must be in 1..{HORIZON_CAP}, got {horizon}")
+        set_field = partial(object.__setattr__, self)
+        set_field("requests", requests)
+        set_field("kv_capacity", _integer(self.kv_capacity, "kv_capacity", 1))
+        set_field("horizon", horizon)
         seen = set()
-        for r in self.requests:
+        for r in requests:
+            if not isinstance(r, OfflineRequest):
+                raise ValueError(f"requests hold {r!r}, which is not an OfflineRequest")
             if r.id in seen:
                 raise ValueError(f"duplicate request id {r.id}")
             seen.add(r.id)
-            if r.prompt_len < 1 or r.decode_len < 1:
-                raise ValueError(f"request {r.id} has nonpositive lengths")
-            if not 1 <= r.arrival_slot <= self.horizon:
+            if not 1 <= r.arrival_slot <= horizon:
                 raise ValueError(f"request {r.id} arrives outside the horizon")
 
     @cached_property
@@ -88,43 +114,26 @@ class OfflineInstance:
         instance (frozen, so it cannot go stale); solve() hands out copies."""
         return _Search(self).run()
 
+    @cached_property
+    def _stream(self) -> ArrivalStream:
+        """Engine Requests, each slot a tuple in (arrival_slot, id) order
+        (empty slots share one), made on first use and shared by every run:
+        a run leaves nothing in a stream that a later run reads (engine.run),
+        and construction made the engine's checks on hand-built streams."""
+        slots: List[Tuple[Request, ...]] = [()] * self.horizon
+        for r in sorted(self.requests, key=ARRIVAL_ORDER):
+            slots[r.arrival_slot - 1] += (Request(r.id, r.prompt_len, r.decode_len, r.arrival_slot, r.class_id),)
+        return ArrivalStream(slots, self.horizon, len(self.requests))
+
     @classmethod
     def build(cls, triples, kv_capacity, horizon, objective) -> "OfflineInstance":
         """triples: (l, o, arrival) tuples; ids are assigned 1..n in order."""
-        reqs = tuple(
-            OfflineRequest(i + 1, int(l), int(o), int(a))
-            for i, (l, o, a) in enumerate(triples)
-        )
+        reqs = tuple(OfflineRequest(i + 1, l, o, a) for i, (l, o, a) in enumerate(triples))
         return cls(reqs, kv_capacity, horizon, objective)
-
-    def arrivals(self) -> List[List[Request]]:
-        """Fresh engine Request objects bucketed per slot."""
-        slots: List[List[Request]] = [[] for _ in range(self.horizon)]
-        for r in self.requests:
-            slots[r.arrival_slot - 1].append(
-                Request(
-                    id=r.id,
-                    prompt_len=r.prompt_len,
-                    decode_len=r.decode_len,
-                    arrival_slot=r.arrival_slot,
-                    class_id=r.class_id,
-                    output_known=True,
-                )
-            )
-        return slots
 
     def as_dict(self) -> dict:
         return {
-            "requests": [
-                {
-                    "id": r.id,
-                    "prompt_len": r.prompt_len,
-                    "decode_len": r.decode_len,
-                    "arrival_slot": r.arrival_slot,
-                    "class_id": r.class_id,
-                }
-                for r in self.requests
-            ],
+            "requests": [asdict(r) for r in self.requests],  # keys in field order
             "kv_capacity": self.kv_capacity,
             "horizon": self.horizon,
             "objective": self.objective,
@@ -145,9 +154,9 @@ class OfflineInstance:
         return cls(reqs, doc["kv_capacity"], doc["horizon"], doc["objective"])
 
 
-def objective_value(report: MetricsReport, objective: str) -> Value:
-    """Exact objective from a metrics report; inf marks "no completions"
-    under the latency objectives (there is nothing to average)."""
+def objective_value(report: Union[MetricsReport, RunOutcome], objective: str) -> Value:
+    """Exact objective from a metrics report or a run's outcome; inf marks
+    "no completions" under the latency objectives (nothing to average)."""
     if objective == "avg_latency":
         return math.inf if report.avg_latency is None else report.avg_latency
     if objective == "p95_latency":
@@ -363,7 +372,7 @@ def replay(instance: OfflineInstance, schedule: Dict[int, Optional[int]]):
     for ids in by_slot.values():
         ids.sort()
     result = engine_run(
-        instance.arrivals(),
+        instance._stream,
         FixedSchedule(by_slot),
         kv_capacity=instance.kv_capacity,
     )
@@ -398,17 +407,18 @@ def verify_policy_dominance(
     instance: OfflineInstance, policy: Policy, seed: int = 0
 ) -> DominanceReport:
     """Check that the exact optimum is at least as good as what the
-    policy achieved on the same instance. The optimum is the one kept on
-    the instance, so checking many policies searches once."""
+    policy achieved on the same instance. The optimum and the stream kept
+    on the instance serve every policy; the policy's value is read from
+    the run's outcome, with no full metrics report."""
     solution = solve(instance)
     result = engine_run(
-        instance.arrivals(),
+        instance._stream,
         policy,
         kv_capacity=instance.kv_capacity,
         seed=seed,
         record_events=True,
     )
-    policy_value = objective_value(compute_metrics(result), instance.objective)
+    policy_value = objective_value(run_outcome(result), instance.objective)
     ok = weakly_dominates(solution.value, policy_value, instance.objective)
     return DominanceReport(
         ok=ok,

@@ -1,14 +1,19 @@
-"""Brute-force references that tests compare the fast code against.
+"""Brute-force references that tests compare the fast code against, and
+the reader that checks what the library writes.
 
 Nothing in kvflow runs these: each recomputes from scratch a fact that the
-library keeps incrementally or answers with a faster method.
+library keeps incrementally or answers with a faster method, or reads back
+a file that the library only writes.
 """
 
+import csv
 import math
+from dataclasses import fields
 from fractions import Fraction
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from kvflow.core import SimState
+from kvflow.metrics import CSV_FIELDS, MetricsReport
 from kvflow.oracle import _Search
 
 
@@ -81,3 +86,39 @@ class FractionSearch(_Search):
         if self.minimize:
             return bound >= self.best_value
         return bound <= self.best_value
+
+
+# how report_from_csv_row reads each stored field, keyed by its annotation
+CSV_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "Optional[int]": lambda text: None if text == "" else int(text),
+}
+
+
+def report_from_csv_row(row: Sequence[str]) -> MetricsReport:
+    """Rebuild a report from a MetricsReport.to_csv_row() line, exactly:
+    the integer columns carry everything the float renderings round."""
+    if len(row) != len(CSV_FIELDS):
+        raise ValueError(f"expected {len(CSV_FIELDS)} columns, got {len(row)}")
+    get = dict(zip(CSV_FIELDS, row))
+    return MetricsReport(**{f.name: CSV_PARSERS[f.type](get[f.name]) for f in fields(MetricsReport)})
+
+
+def read_sweep_csv(path) -> Tuple[List[MetricsReport], List[dict]]:
+    """Read a sweep file back: exact per-seed reports plus raw aggregate rows."""
+    reports: List[MetricsReport] = []
+    aggregates: List[dict] = []
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != list(CSV_FIELDS):
+            raise ValueError(f"{path} is not a sweep file (header {header})")
+        seed_col = CSV_FIELDS.index("seed")
+        for row in reader:
+            if row[seed_col] == "aggregate":
+                aggregates.append(dict(zip(CSV_FIELDS, row)))
+            else:
+                reports.append(report_from_csv_row(row))
+    return reports, aggregates

@@ -115,6 +115,8 @@ class TestOverloadExplosion:
         assert all(
             row["slope"] >= result.details["threshold"] for row in result.details["slopes"]
         )
+        assert result.details["left_out"] == []
+        assert "left out" not in result.reason
 
     def test_stable_spec_skips(self):
         result = checks.check_overload_explosion(small_known_spec(), 10000, seeds=(0,))
@@ -149,6 +151,9 @@ class TestOverloadExplosion:
         assert "flow_per_class" not in names
         assert "mc_sf" not in names
         assert "mc" not in names
+        left_out = [entry.split(" (")[0] for entry in result.details["left_out"]]
+        assert left_out == ["flow_per_class", "mc", "mc_sf"]
+        assert result.reason.endswith("; left out: " + ", ".join(result.details["left_out"]))
 
     def test_no_applicable_policy_skips(self):
         records = [TraceRecord(3, 4)] * 4000

@@ -14,6 +14,7 @@ from kvflow.engine import run as engine_run
 from kvflow.policies import make_policy
 from kvflow.workload import WorkloadSpec, generate_arrivals
 from kvflow.core import RequestClass
+from references import read_sweep_csv
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -275,7 +276,7 @@ class TestRun:
         for seed, want in zip((0, 1), expected):
             got = json.loads((out / f"metrics_seed{seed}.json").read_text())
             assert got == want.as_dict()
-        reports, aggregates = cli.read_sweep_csv(out / "sweep.csv")
+        reports, aggregates = read_sweep_csv(out / "sweep.csv")
         assert len(aggregates) == 1
         assert aggregates[0]["seed"] == "aggregate"
         for got, want in zip(reports, expected):
@@ -291,7 +292,7 @@ class TestRun:
         capsys.readouterr()
         assert (out / "metrics_seed7.json").exists()
         assert not (out / "metrics_seed0.json").exists()
-        reports, _ = cli.read_sweep_csv(out / "sweep.csv")
+        reports, _ = read_sweep_csv(out / "sweep.csv")
         assert [r.seed for r in reports] == [7]
 
     def test_emit_flags_off(self, tmp_path, capsys):
@@ -868,6 +869,32 @@ class TestOracle:
         doc["instance"]["kv_capacity"] = 20
         assert cli.main(["oracle", "-c", write_config(tmp_path, doc)]) == cli.EXIT_CONFIG
         assert "'instance'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("requests", 0, "prompt_len"), 2.5),
+            (("requests", 0, "prompt_len"), True),
+            (("requests", 0, "prompt_len"), "3"),
+            (("requests", 1, "arrival_slot"), 1.0),
+            (("requests", 2, "id"), "3"),
+            (("kv_capacity",), 10.5),
+            (("horizon",), 10.0),
+        ],
+    )
+    def test_non_integer_field_is_refused_before_search(self, tmp_path, capsys, monkeypatch, path, value):
+        doc = self.instance_config()
+        *parents, name = path
+        target = doc["instance"]
+        for key in parents:
+            target = target[key]
+        target[name] = value
+        searches = []
+        monkeypatch.setattr(oracle._Search, "run", lambda self: searches.append(self))
+        assert cli.main(["oracle", "-c", write_config(tmp_path, doc)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "field 'instance'" in err and name in err and repr(value) in err
+        assert not searches
 
 
 class TestIngest:

@@ -1,17 +1,24 @@
 """Source hygiene: no module under src/kvflow imports a name it never uses
-or a private name of another kvflow module, and no private top-level name
-under src/kvflow goes unread.
+or a private name of another kvflow module, no private top-level name
+under src/kvflow goes unread, and no public one goes unread by the
+library, the demos and README.md.
 
 Uses are read from the syntax tree: every bare name, the names inside
 string annotations ("WorkloadSpec"), and a module's __all__ list.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "kvflow"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "kvflow"
+
+# public top-level names that nothing under src/kvflow, no demo and not
+# README.md reads, each kept on purpose: name -> why
+UNREAD_PUBLIC_ALLOWED: dict = {}
 
 
 def imported_names(tree: ast.Module):
@@ -77,8 +84,8 @@ def test_no_private_imports_across_modules(path):
     assert not private, f"{path.name} imports private names of other modules: {', '.join(private)}"
 
 
-def private_definitions(tree: ast.Module):
-    """(name, line) of every private top-level function, class and constant."""
+def top_level_definitions(tree: ast.Module):
+    """(name, line) of every top-level function, class and constant."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
@@ -108,7 +115,29 @@ def test_no_dead_private_names():
     dead = [
         f"{name} ({module} line {line})"
         for module, tree in trees.items()
-        for name, line in private_definitions(tree)
+        for name, line in top_level_definitions(tree)
         if name.startswith("_") and not name.startswith("__") and name not in referenced
     ]
     assert not dead, f"private names nothing under src/kvflow reads: {', '.join(dead)}"
+
+
+def public_readers():
+    """Every name read by src/kvflow outside __init__.py (whose imports and
+    __all__ only re-export), by the demos, and every word of README.md."""
+    paths = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "demos").glob("*.py"))
+    read = set().union(*(referenced_names(ast.parse(p.read_text(encoding="utf-8"))) for p in paths))
+    return read | set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+
+
+def test_no_unread_public_names():
+    read = public_readers()
+    unread = [
+        f"{name} ({path.name} line {line})"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in top_level_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if not name.startswith("_") and name not in read and name not in UNREAD_PUBLIC_ALLOWED
+    ]
+    assert not unread, f"public names that no library module, demo or README.md reads: {', '.join(unread)}"
+    stale = sorted(UNREAD_PUBLIC_ALLOWED.keys() & read)
+    assert not stale, f"allowed as unread but read after all: {', '.join(stale)}"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvflow.cli import read_sweep_csv, write_sweep_csv
+from kvflow.cli import write_sweep_csv
 from kvflow.core import Request, RequestClass, nearest_rank
 from kvflow.engine import event_rows, run
 from kvflow.metrics import (
@@ -20,6 +20,7 @@ from kvflow.metrics import (
 )
 from kvflow.policies import FixedSchedule, make_policy
 from kvflow.workload import WorkloadSpec, generate_arrivals
+from references import read_sweep_csv, report_from_csv_row
 
 
 def req(rid, l, o, arrival, known=True, class_id=None):
@@ -264,7 +265,7 @@ class TestSerialization:
 
     def test_rejects_short_row(self):
         with pytest.raises(ValueError):
-            MetricsReport.from_csv_row(["x", "1"])
+            report_from_csv_row(["x", "1"])
 
 
 def overloaded_run(policy_name, params, seed=0, horizon=400):
