@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from kvflow import metrics, oracle, presets, stability, workload
-from kvflow.core import EngineError, as_fraction, positive_int, rational
+from kvflow.core import EngineError, integer, nonnegative_rate, positive_int
 from kvflow.engine import run as engine_run, sweep, write_events_csv
 from kvflow.oracle import OBJECTIVES
 from kvflow.policies import POLICIES, Policy, make_policy
@@ -97,9 +97,9 @@ def _positive_int(doc: dict, key: str, where: str) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def _parse_rate(value, label: str) -> Fraction:
+def _parse_rate(value, label: str):
     try:
-        return as_fraction(rational(f"field '{label}'", value, lambda r: r >= 0, "nonnegative"))
+        return nonnegative_rate(f"field '{label}'", value)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -203,23 +203,18 @@ class ExperimentConfig:
 
 
 def _parse_seeds(raw: dict, override: Optional[Sequence[int]], required: bool = True) -> List[int]:
-    if override is not None:
-        seeds = list(override)
-    else:
-        seeds = _field(raw, "seeds", "", list, [])
-        for s in seeds:
-            if isinstance(s, bool) or not isinstance(s, int):
-                raise ConfigError(f"field 'seeds' must contain integers, got {s!r}")
+    seeds = list(override) if override is not None else _field(raw, "seeds", "", list, [])
     if not seeds:
         if not required:
             return [0]
         raise ConfigError("field 'seeds': at least one seed is required")
-    for s in seeds:
-        if s < 0:
-            raise ConfigError(f"field 'seeds' must be nonnegative, got {s}")
+    try:
+        seeds = [integer("field 'seeds'", s, 0) for s in seeds]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"field 'seeds' must not repeat a seed, got {seeds}")
-    return [int(s) for s in seeds]
+    return seeds
 
 
 def _parse_emit(raw: dict) -> Dict[str, bool]:
@@ -335,6 +330,11 @@ def _atomic_write(path: Path, write_fn) -> None:
             os.unlink(tmp)
 
 
+def _write_json(path: Path, doc: dict, indent: int) -> None:
+    """Write doc to path as indented JSON plus a newline, through _atomic_write."""
+    _atomic_write(path, lambda tmp: Path(tmp).write_text(json.dumps(doc, indent=indent) + "\n", encoding="utf-8"))
+
+
 def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -405,7 +405,7 @@ def _run_seed(kv_capacity: int, out: Path, emit: Dict[str, bool], arrivals, poli
     result = engine_run(arrivals, policy, kv_capacity, seed=seed, record_events=emit["event_log"])
     report = metrics.compute_metrics(result)
     if emit["metrics_json"]:
-        _atomic_write(out / f"metrics_seed{seed}.json", report.write_json)
+        _write_json(out / f"metrics_seed{seed}.json", report.as_dict(), 1)
     if emit["series_csv"]:
         _atomic_write(out / f"series_seed{seed}.csv", result.write_series_csv)
     if emit["event_log"]:
@@ -610,7 +610,7 @@ def cmd_stability(args) -> int:
             horizon=spec.horizon,
         )
     path = cfg.out_dir / "stability.json"
-    _atomic_write(path, report.write_json)
+    _write_json(path, report.as_dict(), 1)
     _status(f"offered load {float(report.offered_load):.1f} vs capacity {cfg.kv_capacity}")
     _status(f"necessary condition violated: {report.necessary_violated}")
     if report.sufficient is not None:
@@ -675,10 +675,7 @@ def cmd_budget_search(args) -> int:
         "table": str(csv_path),
     }
     json_path = cfg.out_dir / "search.json"
-    _atomic_write(
-        json_path,
-        lambda tmp: Path(tmp).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8"),
-    )
+    _write_json(json_path, summary, 2)
     _status(f"best {objective}: {result.best_value} at budget {result.best_budget}")
     _status(f"wrote {csv_path}")
     _emit_summary(summary, args.format)
@@ -710,10 +707,7 @@ def cmd_oracle(args) -> int:
         "metrics": report.as_dict(),
     }
     out_path = out_dir / "oracle.json"
-    _atomic_write(
-        out_path,
-        lambda tmp: Path(tmp).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8"),
-    )
+    _write_json(out_path, doc, 2)
     placed = sum(1 for slot in solution.schedule.values() if slot is not None)
     _status(
         f"objective {instance.objective}: optimum {solution.as_dict()['value']} "
@@ -774,12 +768,7 @@ def cmd_ingest(args) -> int:
         )
     summary_path = out_dir / f"summary.{args.format}"
     if args.format == "json":
-        _atomic_write(
-            summary_path,
-            lambda tmp: Path(tmp).write_text(
-                json.dumps(summary, indent=2) + "\n", encoding="utf-8"
-            ),
-        )
+        _write_json(summary_path, summary, 2)
     else:
 
         def _write_csv(tmp):

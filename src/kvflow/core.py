@@ -13,8 +13,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from heapq import merge
-from numbers import Rational
+from numbers import Integral, Rational
 from itertools import chain
 from operator import attrgetter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Union
@@ -22,12 +23,23 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Union
 Rate = Union[int, float, Fraction]
 
 
-def positive_int(name: str, value: object) -> int:
-    """value, an int of at least 1, or a ValueError naming name. A bool is
-    not a number."""
-    if type(value) is not int or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+_INTEGER_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def integer(name: str, value: object, least: Optional[int] = None) -> int:
+    """value as a plain int, or a ValueError naming name. An int or a numpy
+    integer is an integer; a bool, a float, a string or None is not. least
+    (None, 0 or 1) is the smallest value allowed."""
+    if type(value) is not int and isinstance(value, Integral) and not isinstance(value, bool):
+        value = int(value)  # a numpy integer
+    if type(value) is not int or (least is not None and value < least):
+        raise ValueError(f"{name} must be {_INTEGER_KINDS[least]}, got {value!r}")
     return value
+
+
+def positive_int(name: str, value: object) -> int:
+    """value as an int of at least 1 (see integer)."""
+    return integer(name, value, 1)
 
 
 class EngineError(RuntimeError):
@@ -42,7 +54,10 @@ class OversizedRequestError(EngineError):
 class RequestClass:
     """A (prompt length, output length) request type with an arrival rate.
 
-    rate is the mean number of arrivals of this class per slot.
+    rate is the mean number of arrivals of this class per slot. The fields
+    are checked when the class is built and kept as rational() and
+    integer() return them: the lengths as ints, the rate as an int or a
+    Fraction.
     """
 
     prompt_len: int
@@ -50,10 +65,10 @@ class RequestClass:
     rate: Rate
 
     def __post_init__(self) -> None:
-        positive_int("prompt_len", self.prompt_len)
-        positive_int("decode_len", self.decode_len)
-        if self.rate < 0:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
+        set_field = partial(object.__setattr__, self)
+        set_field("prompt_len", positive_int("prompt_len", self.prompt_len))
+        set_field("decode_len", positive_int("decode_len", self.decode_len))
+        set_field("rate", nonnegative_rate("rate", self.rate))
 
     @property
     def lifetime_tokens(self) -> int:
@@ -149,12 +164,15 @@ def as_fraction(value: Union[Rate, str]) -> Fraction:
 
 def rational(name: str, value: object, within: Callable[[Rational], bool], what: str) -> Union[int, Fraction]:
     """value as an exact rational for which within holds, or a ValueError naming
-    name. An int stays as it is; a float (by its shortest decimal), a Fraction or
-    a fraction string ("5/2") becomes a Fraction. A bool is not a number."""
+    name. An integer (see integer) becomes an int; a float (by its shortest
+    decimal), a Fraction or a fraction string ("5/2") becomes a Fraction. A bool
+    is not a number, and neither is nan or inf."""
     number = None
-    if isinstance(value, (int, float, str, Fraction)) and not isinstance(value, bool):
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        number = int(value)
+    elif isinstance(value, (float, str, Fraction)):
         try:
-            number = value if isinstance(value, int) else as_fraction(value)
+            number = as_fraction(value)
         except ZeroDivisionError:
             pass  # "5/0"
         except ValueError as exc:  # nan, inf, or a string that is no number
@@ -165,6 +183,11 @@ def rational(name: str, value: object, within: Callable[[Rational], bool], what:
     if not within(number):
         raise ValueError(f"{name} must be {what}, got {value}")
     return number
+
+
+def nonnegative_rate(name: str, value: object) -> Union[int, Fraction]:
+    """value as an exact rational of at least 0 (see rational)."""
+    return rational(name, value, lambda r: r >= 0, "nonnegative")
 
 
 class WaitingGroup:

@@ -38,11 +38,9 @@ write_events_csv writes those rows.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from numbers import Integral
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,6 +52,7 @@ from kvflow.core import (
     Request,
     SimState,
     WaitingQueue,
+    integer,
 )
 from kvflow.policies import Policy, PolicyView
 from kvflow.workload import ArrivalStream, WorkloadSpec, generate_arrivals
@@ -131,39 +130,6 @@ class RunResult:
 
     def unfinished(self) -> np.ndarray:
         return self.waiting_len + self.active_len
-
-    def as_dict(self, include_series: bool = True) -> dict:
-        doc = {
-            "policy": self.policy_name,
-            "kv_capacity": self.kv_capacity,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "arrivals_total": self.arrivals_total,
-            "completed": self.completed_count,
-            "overflow_slots": self.overflow_slots,
-            "eviction_count": self.eviction_count,
-            "wasted_tokens": self.wasted_tokens,
-            "generated_tokens": self.generated_tokens,
-            "final_waiting": self.final_waiting,
-            "final_active": self.final_active,
-            "max_usage": self.max_usage,
-            "exhausted_slot": self.exhausted_slot,
-        }
-        if include_series:
-            doc["series"] = {
-                "usage": self.usage.tolist(),
-                "waiting_len": self.waiting_len.tolist(),
-                "active_len": self.active_len.tolist(),
-                "budgets": self.budgets.tolist(),
-                "prefill_tokens": self.prefill_tokens.tolist(),
-                "decode_tokens": self.decode_tokens.tolist(),
-            }
-        return doc
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=1)
-            fh.write("\n")
 
     def write_series_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -249,8 +215,9 @@ class Engine:
         record_events: bool = False,
         track_classes: Optional[int] = None,
     ) -> None:
-        if not isinstance(kv_capacity, Integral) or kv_capacity <= 0:
-            raise ValueError(f"kv_capacity must be a positive integer, got {kv_capacity!r}")
+        kv_capacity = integer("kv_capacity", kv_capacity, 1)
+        if track_classes is not None:
+            track_classes = integer("track_classes", track_classes, 0)
         self.policy = policy
         self.state = SimState(kv_capacity, seed, waiting=WaitingQueue(policy.group_key))
         self.record_events = record_events
@@ -485,35 +452,29 @@ class Engine:
         )
 
 
-def _in_arrival_order(slots: Iterable[Sequence[Request]]) -> Iterator[List[Request]]:
+def _in_arrival_order(slots: Iterable[Sequence[Request]], track_classes: Optional[int]) -> Iterator[List[Request]]:
     """Yield each slot of a hand-built stream sorted by (arrival_slot, id),
-    the order the waiting queue takes arrivals in. Generated streams are
-    built in it. A request fed in a slot other than its arrival slot, an
-    id that arrived before, an id or arrival slot that is not an integer,
-    or a prompt or decode length that is not an integer of at least 1 is
-    an error."""
+    the order the waiting queue takes arrivals in, with each request's
+    integer fields checked and kept as ints. Generated streams are built in
+    that order. An id or arrival slot that is not an integer, a prompt or
+    decode length that is not one of at least 1, a class_id that is neither
+    None nor one of at least 0 (below track_classes when it is set), a
+    request fed in a slot other than its arrival slot, or an id that arrived
+    before is an error."""
     seen = set()
     for slot, slot_requests in enumerate(slots, 1):
         for r in slot_requests:
-            arrival, prompt_len, decode_len = r.arrival_slot, r.prompt_len, r.decode_len
-            # exact int types pass at once; the ABC checks cost about 0.3 us
-            # each, and accept numpy ints too
-            if not (
-                type(r.id) is type(arrival) is type(prompt_len) is type(decode_len) is int
-                and prompt_len >= 1
-                and decode_len >= 1
-            ):
-                for name in ("id", "arrival_slot"):
-                    value = getattr(r, name)
-                    if not isinstance(value, Integral) or isinstance(value, bool):
-                        raise ValueError(f"request {r.id!r} has {name} {value!r}; it must be an integer")
-                for name in ("prompt_len", "decode_len"):
-                    value = getattr(r, name)
-                    if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-                        raise ValueError(f"request {r.id} has {name} {value!r}; it must be an integer >= 1")
-            if arrival != slot:
+            r.id = rid = integer(f"request {r.id!r}: id", r.id)
+            r.arrival_slot = integer(f"request {rid}: arrival_slot", r.arrival_slot)
+            r.prompt_len = integer(f"request {rid}: prompt_len", r.prompt_len, 1)
+            r.decode_len = integer(f"request {rid}: decode_len", r.decode_len, 1)
+            if r.class_id is not None:
+                r.class_id = integer(f"request {rid}: class_id", r.class_id, 0)
+                if track_classes and r.class_id >= track_classes:
+                    raise ValueError(f"request {rid}: class_id must be below track_classes={track_classes}, got {r.class_id}")
+            if r.arrival_slot != slot:
                 raise ValueError(
-                    f"request {r.id} has arrival_slot {arrival} but was fed in slot {slot}"
+                    f"request {rid} has arrival_slot {r.arrival_slot} but was fed in slot {slot}"
                 )
         ordered = sorted(slot_requests, key=ARRIVAL_ORDER)
         for r in ordered:
@@ -535,8 +496,8 @@ def run(
 
     Slot t of a hand-built stream holds the requests whose arrival_slot
     is t (slots count from 1). Each slot is fed in id order, whatever
-    order it lists its requests in, and an id may arrive only once.
-    track_classes sizes an optional per-class waiting-count series (pass
+    order it lists its requests in, and an id may arrive only once; its
+    requests' integer fields are checked and kept as ints. track_classes sizes an optional per-class waiting-count series (pass
     the class count). Identical inputs produce bit-identical
     results, event logs included. A run leaves nothing in the stream that
     a later run reads, so one stream can be replayed under any number of
@@ -547,7 +508,7 @@ def run(
         exhausted = arrivals.exhausted_slot
         counts = arrivals.class_counts
     else:
-        slots = _in_arrival_order(arrivals)
+        slots = _in_arrival_order(arrivals, track_classes)
         exhausted = None
         counts = None
     engine = Engine(

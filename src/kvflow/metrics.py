@@ -16,7 +16,6 @@ float renderings, which keeps the row round-trippable.
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,11 +181,6 @@ class MetricsReport(_Ratios):
             },
             "queue_growth_slope": self.queue_growth_slope,
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=1)
-            fh.write("\n")
 
     def to_csv_row(self) -> List[str]:
         """The CSV_FIELDS values: fractions as floats, None as a blank."""

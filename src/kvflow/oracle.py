@@ -25,13 +25,12 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from numbers import Integral
 from typing import Dict, List, Optional, Tuple, Union
 
-from kvflow.core import ARRIVAL_ORDER, Request, nearest_rank
+from kvflow.core import ARRIVAL_ORDER, Request, integer, nearest_rank
 from kvflow.engine import EventEntry, event_rows, run as engine_run
 from kvflow.metrics import MetricsReport, RunOutcome, compute_metrics, run_outcome
-from kvflow.policies import FixedSchedule, Policy
+from kvflow.policies import FixedSchedule, Policy, PolicyApplicabilityError
 from kvflow.workload import ArrivalStream
 
 REQUEST_CAP = 10
@@ -41,17 +40,6 @@ OBJECTIVES = ("avg_latency", "p95_latency", "request_throughput", "token_through
 _MINIMIZE = frozenset({"avg_latency", "p95_latency"})
 
 Value = Union[Fraction, float]  # exact rational, or math.inf for "no completions"
-
-
-def _integer(value, what: str, least: Optional[int] = None) -> int:
-    """value as a plain int (numpy ints pass; bools, floats, strings do not)."""
-    if type(value) is not int:
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValueError(f"{what} must be an integer, got {value!r}")
-        value = int(value)
-    if least is not None and value < least:
-        raise ValueError(f"{what} must be at least {least}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -66,9 +54,11 @@ class OfflineRequest:
 
     def __post_init__(self) -> None:
         set_field = partial(object.__setattr__, self)
-        set_field("id", _integer(self.id, f"request {self.id!r}: id"))
+        set_field("id", integer(f"request {self.id!r}: id", self.id))
         for name, least in (("prompt_len", 1), ("decode_len", 1), ("arrival_slot", None)):
-            set_field(name, _integer(getattr(self, name), f"request {self.id}: {name}", least))
+            set_field(name, integer(f"request {self.id}: {name}", getattr(self, name), least))
+        if self.class_id is not None:
+            set_field("class_id", integer(f"request {self.id}: class_id", self.class_id, 0))
 
 
 @dataclass(frozen=True)
@@ -91,12 +81,12 @@ class OfflineInstance:
             raise ValueError(
                 f"{len(requests)} requests exceed the exact-search cap of {REQUEST_CAP}"
             )
-        horizon = _integer(self.horizon, "horizon")
-        if not 1 <= horizon <= HORIZON_CAP:
+        horizon = integer("horizon", self.horizon, 1)
+        if horizon > HORIZON_CAP:
             raise ValueError(f"horizon must be in 1..{HORIZON_CAP}, got {horizon}")
         set_field = partial(object.__setattr__, self)
         set_field("requests", requests)
-        set_field("kv_capacity", _integer(self.kv_capacity, "kv_capacity", 1))
+        set_field("kv_capacity", integer("kv_capacity", self.kv_capacity, 1))
         set_field("horizon", horizon)
         seen = set()
         for r in requests:
@@ -113,6 +103,11 @@ class OfflineInstance:
         """The exact optimum, searched for on first use and kept on the
         instance (frozen, so it cannot go stale); solve() hands out copies."""
         return _Search(self).run()
+
+    @cached_property
+    def _unclassed(self) -> Optional[int]:
+        """The id of the first request that has no class_id, or None."""
+        return next((r.id for r in self.requests if r.class_id is None), None)
 
     @cached_property
     def _stream(self) -> ArrivalStream:
@@ -409,7 +404,13 @@ def verify_policy_dominance(
     """Check that the exact optimum is at least as good as what the
     policy achieved on the same instance. The optimum and the stream kept
     on the instance serve every policy; the policy's value is read from
-    the run's outcome, with no full metrics report."""
+    the run's outcome, with no full metrics report. A policy that needs
+    class labels, on an instance with a request that has none, is a
+    PolicyApplicabilityError."""
+    if policy.requires_classes and instance._unclassed is not None:
+        raise PolicyApplicabilityError(
+            f"policy {policy.name!r} needs class labels, but request {instance._unclassed} has no class_id"
+        )
     solution = solve(instance)
     result = engine_run(
         instance._stream,

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Hashable, Iterable, Iterator, 
 
 import numpy as np
 
-from kvflow.core import EngineError, Request, WaitingGroup, WaitingQueue, positive_int, rational
+from kvflow.core import EngineError, Request, WaitingGroup, WaitingQueue, integer, positive_int, rational
 
 if TYPE_CHECKING:
     from kvflow.workload import WorkloadSpec
@@ -614,10 +614,10 @@ class AdmissionPlanner:
 
 
 def class_budgets(name: str, value: object) -> Tuple[int, ...]:
-    """A per-class list (or tuple) of nonnegative integers, as a tuple."""
-    if not isinstance(value, (list, tuple)) or not value or not all(type(b) is int and b >= 0 for b in value):
+    """A per-class list (or tuple) of nonnegative integers, as a tuple of ints."""
+    if not isinstance(value, (list, tuple)) or not value:
         raise ValueError(f"{name} must be a nonempty list of nonnegative integers, got {value!r}")
-    return tuple(value)
+    return tuple(integer(name, b, 0) for b in value)
 
 
 def positive_rate(name: str, value: object) -> Union[int, Fraction]:

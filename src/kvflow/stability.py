@@ -21,13 +21,12 @@ objectives) plus the full measured table.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from kvflow.core import Rate, RequestClass, as_fraction, positive_int, workload_tokens
+from kvflow.core import Rate, RequestClass, nonnegative_rate, positive_int, rational, workload_tokens
 from kvflow.engine import run as engine_run, sweep
 from kvflow.metrics import compute_metrics
 from kvflow.oracle import OBJECTIVES, is_improvement, objective_value
@@ -37,18 +36,19 @@ from kvflow.workload import LengthDistribution
 NEGLIGIBLE_LOG = -700.0
 
 
-def _norm_classes(classes) -> List[Tuple[int, int, Optional[Fraction]]]:
-    """Accept RequestClass objects, (l, o) pairs, or (l, o, rate) triples."""
-    out: List[Tuple[int, int, Optional[Fraction]]] = []
+def _norm_classes(classes) -> List[Tuple[int, int, Optional[Rate]]]:
+    """Accept RequestClass objects, (l, o) pairs, or (l, o, rate) triples;
+    the lengths come back as ints and each rate as an int or a Fraction."""
+    out: List[Tuple[int, int, Optional[Rate]]] = []
     for c in classes:
         if isinstance(c, RequestClass):
-            out.append((c.prompt_len, c.decode_len, as_fraction(c.rate)))
+            out.append((c.prompt_len, c.decode_len, c.rate))
         else:
             tup = tuple(c)
             if len(tup) not in (2, 3):
                 raise ValueError(f"class entry must be (l, o) or (l, o, rate), got {c!r}")
             l, o = positive_int("prompt_len", tup[0]), positive_int("decode_len", tup[1])
-            out.append((l, o, as_fraction(tup[2]) if len(tup) == 3 else None))
+            out.append((l, o, nonnegative_rate("rate", tup[2]) if len(tup) == 3 else None))
     if not out:
         raise ValueError("need at least one request class")
     return out
@@ -117,13 +117,12 @@ def check_necessary_known(classes, capacity: int) -> LoadCheck:
     bound under every policy; a strictly smaller one proves nothing by
     itself.
     """
+    capacity = positive_int("capacity", capacity)
     norm = _norm_classes(classes)
     load = Fraction(0)
     for l, o, rate in norm:
         if rate is None:
             raise ValueError("every class needs a rate; got a bare (l, o) pair")
-        if rate < 0:
-            raise ValueError(f"rates must be nonnegative, got {rate}")
         load += rate * workload_tokens(l, o)
     return LoadCheck(
         offered_load=load,
@@ -146,6 +145,7 @@ def check_sufficient_known(
     b_k > rate_k strictly for every class, which drains each queue.
     Both are reported separately; sufficiency needs both.
     """
+    capacity = positive_int("capacity", capacity)
     norm = _norm_classes(classes)
     if len(budgets) != len(norm):
         raise ValueError(f"{len(norm)} classes but {len(budgets)} budgets")
@@ -157,7 +157,7 @@ def check_sufficient_known(
     else:
         if len(rates) != len(norm):
             raise ValueError(f"{len(norm)} classes but {len(rates)} rates")
-        rate_list = [as_fraction(r) for r in rates]
+        rate_list = [nonnegative_rate(f"rates[{k}]", r) for k, r in enumerate(rates)]
     budgeted = sum(b * workload_tokens(l, o) for b, (l, o, _) in zip(budgets, norm))
     per_class = tuple(b > r for b, r in zip(budgets, rate_list))
     return SufficiencyCheck(
@@ -179,9 +179,8 @@ def check_necessary_unknown(
     is finite by construction, so the bounded-support requirement holds
     with cap max_len(). An empty mix (None) offers zero load.
     """
-    rate = as_fraction(rate)
-    if rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {rate}")
+    capacity = positive_int("capacity", capacity)
+    rate = nonnegative_rate("rate", rate)
     load = Fraction(0) if length_dist is None else rate * length_dist.mean_workload()
     return LoadCheck(
         offered_load=load,
@@ -235,16 +234,12 @@ def overflow_bound(
     the per-slot activation cap (an integer at least ceil(b)) and C
     bounds every prompt and output length in the support.
     """
-    if A < 1:
-        raise ValueError(f"activation cap A must be at least 1, got {A}")
-    if C < 1:
-        raise ValueError(f"length bound C must be at least 1, got {C}")
-    if M < 1 or T < 1:
-        raise ValueError("M and T must be positive")
+    A, C = positive_int("activation cap A", A), positive_int("length bound C", C)
+    M, T = positive_int("M", M), positive_int("T", T)
     if epsilon is None:
         if b is None or length_dist is None:
             raise ValueError("pass epsilon, or b together with length_dist")
-        b = as_fraction(b)
+        b = nonnegative_rate("b", b)
         if A < math.ceil(b):
             raise ValueError(f"A={A} is below ceil(b)={math.ceil(b)}")
         if length_dist.max_len() > C:
@@ -255,7 +250,7 @@ def overflow_bound(
     else:
         if b is not None or length_dist is not None:
             raise ValueError("pass either epsilon or (b, length_dist), not both")
-        epsilon = as_fraction(epsilon)
+        epsilon = rational("epsilon", epsilon, lambda e: e > 0, "positive")
     if epsilon <= 0:
         raise ValueError(
             f"slack epsilon must be positive, got {epsilon}; "
@@ -320,11 +315,6 @@ class StabilityReport:
             "overflow_bound": None if self.overflow is None else self.overflow.as_dict(),
         }
 
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=1)
-            fh.write("\n")
-
 
 def build_report(
     capacity: int,
@@ -343,6 +333,7 @@ def build_report(
     optionally a scalar budget, which also yields the overflow bound
     when a horizon is given.
     """
+    capacity = positive_int("capacity", capacity)
     if classes is not None:
         necessary = check_necessary_known(classes, capacity)
         sufficient = None
@@ -354,7 +345,7 @@ def build_report(
     necessary = check_necessary_unknown(length_dist, rate, capacity)
     overflow = None
     if scalar_budget is not None and horizon is not None:
-        b = as_fraction(scalar_budget)
+        b = nonnegative_rate("scalar_budget", scalar_budget)
         eps = 1 - b * length_dist.mean_workload() / capacity
         if eps > 0:
             overflow = overflow_bound(

@@ -19,7 +19,16 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from kvflow.core import Rate, Request, RequestClass, as_fraction, nearest_rank, workload_tokens
+from kvflow.core import (
+    Rate,
+    Request,
+    RequestClass,
+    integer,
+    nearest_rank,
+    nonnegative_rate,
+    positive_int,
+    workload_tokens,
+)
 
 ARRIVAL_STREAM_TAG = 0
 # largest rate sampled by one CDF walk; exp(-500) is still a normal float
@@ -92,7 +101,8 @@ class WorkloadSpec:
     kind "synthetic" draws an independent Poisson(rate_k) count per class
     per slot. kind "trace" draws one Poisson(rate) count per slot and
     consumes trace records in file order. outputs_known controls whether
-    policies may observe decode lengths.
+    policies may observe decode lengths. The horizon is kept as an int and
+    a trace's rate as an int or a Fraction, checked when the spec is built.
     """
 
     kind: str
@@ -105,16 +115,14 @@ class WorkloadSpec:
     trace_path: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        object.__setattr__(self, "horizon", positive_int("horizon", self.horizon))
         if self.kind == "synthetic":
             if not self.classes:
                 raise ValueError("synthetic workload needs at least one class")
         elif self.kind == "trace":
             if self.records is None:
                 raise ValueError("trace workload needs records")
-            if self.rate is None or self.rate < 0:
-                raise ValueError("trace workload needs a nonnegative rate")
+            object.__setattr__(self, "rate", nonnegative_rate("rate", self.rate))
         else:
             raise ValueError(f"unknown workload kind {self.kind!r}")
 
@@ -161,8 +169,8 @@ class WorkloadSpec:
 
     def total_rate(self) -> Fraction:
         if self.kind == "synthetic":
-            return sum((as_fraction(c.rate) for c in self.classes), Fraction(0))
-        return as_fraction(self.rate)
+            return sum((c.rate for c in self.classes), Fraction(0))
+        return Fraction(self.rate)
 
 
 @dataclass
@@ -350,13 +358,10 @@ def _parse_token_counts(obj: dict):
         output = obj["output_tokens"]
     except KeyError as exc:
         return f"missing field {exc.args[0]}"
-    if isinstance(prompt, bool) or isinstance(output, bool):
-        return "token counts must be integers"
-    if not isinstance(prompt, int) or not isinstance(output, int):
-        return "token counts must be integers"
-    if prompt < 0 or output < 0:
-        return "token counts must be nonnegative"
-    return prompt, output, obj.get("id")
+    try:
+        return integer("prompt_tokens", prompt, 0), integer("output_tokens", output, 0), obj.get("id")
+    except ValueError as exc:
+        return str(exc)
 
 
 def _parse_raw_pair(obj: dict):
@@ -421,11 +426,14 @@ class LengthDistribution:
             raise ValueError("distribution needs at least one pair")
         if len(pairs) != len(weights):
             raise ValueError("pairs and weights must have equal length")
-        self.weights = [as_fraction(w) for w in weights]
+        self.weights = [nonnegative_rate(f"weights[{i}]", w) for i, w in enumerate(weights)]
         total = sum(self.weights, Fraction(0))
         if total <= 0:
             raise ValueError("weights must have positive total")
-        self.pairs = [(int(l), int(o)) for l, o in pairs]
+        self.pairs = [
+            (positive_int(f"pairs[{i}] prompt_len", l), positive_int(f"pairs[{i}] decode_len", o))
+            for i, (l, o) in enumerate(pairs)
+        ]
         self._total = total
 
     @classmethod

@@ -4,7 +4,6 @@ an event-log replay that recomputes the usage series independently."""
 import csv
 import dataclasses
 import hashlib
-import json
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -333,7 +332,8 @@ class TestStateValidation:
     )
     def test_request_lengths_must_be_integers_of_at_least_one(self, prompt_len, decode_len, bad):
         arrivals = [[req(1, 2, 3, 1), req(2, prompt_len, decode_len, 1)], [], []]
-        with pytest.raises(ValueError, match=f"request 2 has {bad}; it must be an integer >= 1"):
+        field, value = bad.split(" ")
+        with pytest.raises(ValueError, match=f"request 2: {field} must be a positive integer, got {value}"):
             run(arrivals, FixedSchedule({1: [1, 2]}), kv_capacity=100)
 
     @pytest.mark.parametrize("rid, arrival, bad", [(1.5, 1, "id 1.5"), (2, 1.0, "arrival_slot 1.0"), (True, 1, "id True")])
@@ -341,11 +341,12 @@ class TestStateValidation:
         # an id of 1.5 would read 1 in the %d rows of the events CSV and
         # 1.5 in its decode rows
         arrivals = [[req(3, 2, 3, 1), req(rid, 2, 3, arrival)], [], []]
-        with pytest.raises(ValueError, match=f"has {bad}; it must be an integer$"):
+        field, value = bad.split(" ")
+        with pytest.raises(ValueError, match=f": {field} must be an integer, got {value}$"):
             run(arrivals, FixedSchedule({1: [3]}), kv_capacity=100, record_events=True)
 
     def test_numpy_integer_fields_accepted(self):
-        # they miss the exact-int fast test and pass the Integral checks
+        # the engine keeps them as ints, so the event logs match
         def stream(i):
             return [[req(i(2), i(2), i(3), i(1)), req(i(1), i(2), i(3), i(1))], [req(i(3), i(1), i(1), i(2))], []]
 
@@ -355,6 +356,11 @@ class TestStateValidation:
         ]
         assert runs[0].events == runs[1].events
         assert [rid for _, kind, rid, _ in runs[0].events if kind == "activate"] == [1, 2, 3]
+
+    def test_class_id_beyond_track_classes(self):
+        arrivals = [[req(1, 2, 3, 1, class_id=1), req(2, 2, 3, 1, class_id=5)]]
+        with pytest.raises(ValueError, match="request 2: class_id must be below track_classes=2, got 5"):
+            run(arrivals, FixedSchedule({}), kv_capacity=100, track_classes=2)
 
 
 class TestArrivalOrder:
@@ -465,7 +471,9 @@ class TestFuzzAllPolicies:
         assert a.events == b.events
         for field in ("usage", "waiting_len", "active_len", "budgets", "prefill_tokens", "decode_tokens"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
-        assert a.as_dict() == b.as_dict()
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            assert np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
 
     def test_planner_policies_never_evict(self):
         # full-lifetime projection admits only what is safe forever, so
@@ -547,16 +555,6 @@ class TestSerialization:
     def make(self):
         slots, _ = random_workload(2, known=True)
         return run(slots, make_policy("mc", {}), kv_capacity=40, record_events=True)
-
-    def test_json_round_trip(self, tmp_path):
-        r = self.make()
-        path = tmp_path / "result.json"
-        r.write_json(path)
-        doc = json.loads(path.read_text())
-        assert doc["policy"] == "mc"
-        assert doc["completed"] == r.completed_count
-        assert doc["series"]["usage"] == r.usage.tolist()
-        assert len(doc["series"]["usage"]) == r.horizon
 
     def test_series_csv_shape(self, tmp_path):
         r = self.make()

@@ -141,3 +141,24 @@ def test_no_unread_public_names():
     assert not unread, f"public names that no library module, demo or README.md reads: {', '.join(unread)}"
     stale = sorted(UNREAD_PUBLIC_ALLOWED.keys() & read)
     assert not stale, f"allowed as unread but read after all: {', '.join(stale)}"
+
+
+def own_number_tests(tree: ast.Module):
+    """(what, line) of each import from numbers and each type(...) is int test."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers":
+            yield "from numbers import", node.lineno
+        elif isinstance(node, ast.Import) and any(alias.name == "numbers" for alias in node.names):
+            yield "import numbers", node.lineno
+        elif isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+            operands = [node.left, *node.comparators]
+            typed = any(isinstance(o, ast.Call) and isinstance(o.func, ast.Name) and o.func.id == "type" for o in operands)
+            if typed and any(isinstance(o, ast.Name) and o.id == "int" for o in operands):
+                yield "type(...) is int", node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "core.py"], ids=lambda p: p.name)
+def test_numbers_are_checked_only_in_core(path):
+    # core.integer and core.rational are the one rule for what a number is
+    found = [f"{what} (line {line})" for what, line in own_number_tests(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, f"{path.name} tests numbers itself instead of calling core.integer: {', '.join(found)}"

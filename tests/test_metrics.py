@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kvflow.cli import write_sweep_csv
+from kvflow.cli import _write_json, write_sweep_csv
 from kvflow.core import Request, RequestClass, nearest_rank
 from kvflow.engine import event_rows, run
 from kvflow.metrics import (
@@ -252,7 +252,7 @@ class TestSerialization:
     def test_json_is_loadable(self, tmp_path):
         reports = self.make_reports()
         path = tmp_path / "metrics.json"
-        reports[0].write_json(path)
+        _write_json(path, reports[0].as_dict(), 1)
         doc = json.loads(path.read_text())
         assert doc["completed"] == reports[0].completed
         assert doc["kv_utilization"]["max"] == reports[0].kv_util_max

@@ -15,7 +15,7 @@ from kvflow.core import Request
 from kvflow.engine import run
 from kvflow.metrics import compute_metrics
 from kvflow.oracle import OBJECTIVES, OfflineInstance, OfflineRequest, objective_value, verify_policy_dominance
-from kvflow.policies import make_policy
+from kvflow.policies import PolicyApplicabilityError, make_policy
 from test_oracle_reference import instances
 
 POLICIES = (
@@ -47,11 +47,11 @@ def fresh_slots(inst):
 
 def everything(result):
     """What a run produced, in comparable form."""
-    return (
-        result.as_dict(),
-        result.events,
-        [a.tolist() for a in (result.completed_arrival, result.completed_slot, result.completed_decode_len)],
-    )
+    return {
+        f.name: value.tolist() if isinstance(value, np.ndarray) else value
+        for f in dataclasses.fields(result)
+        for value in [getattr(result, f.name)]
+    }
 
 
 @settings(
@@ -123,17 +123,18 @@ class TestInputContract:
     @pytest.mark.parametrize("value", [True, 2.5, 2.0, "3", None])
     def test_request_field_must_be_an_integer(self, field, value):
         fields = {"id": 7, "prompt_len": 2, "decode_len": 3, "arrival_slot": 1, field: value}
-        with pytest.raises(ValueError, match=f"request .*{field} must be an integer, got {value!r}"):
+        kind = "a positive integer" if field in ("prompt_len", "decode_len") else "an integer"
+        with pytest.raises(ValueError, match=f"request .*{field} must be {kind}, got {value!r}"):
             OfflineRequest(**fields)
 
     @pytest.mark.parametrize("field", ["prompt_len", "decode_len"])
     def test_lengths_start_at_one(self, field):
         fields = {"id": 7, "prompt_len": 2, "decode_len": 3, "arrival_slot": 1, field: 0}
-        with pytest.raises(ValueError, match=f"request 7: {field} must be at least 1, got 0"):
+        with pytest.raises(ValueError, match=f"request 7: {field} must be a positive integer, got 0"):
             OfflineRequest(**fields)
 
     def test_build_takes_lengths_as_given(self):
-        with pytest.raises(ValueError, match="request 1: prompt_len must be an integer, got 2.5"):
+        with pytest.raises(ValueError, match="request 1: prompt_len must be a positive integer, got 2.5"):
             OfflineInstance.build([(2.5, 1, 1)], 10, 4, "avg_latency")
 
     @pytest.mark.parametrize("value", [True, 10.5, np.float64(12), "12"])
@@ -143,12 +144,18 @@ class TestInputContract:
 
     @pytest.mark.parametrize("value", [True, 4.0, "4"])
     def test_horizon(self, value):
-        with pytest.raises(ValueError, match="horizon must be an integer"):
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
             OfflineInstance.build([(1, 1, 1)], 10, value, "avg_latency")
 
     def test_requests_must_be_offline_requests(self):
         with pytest.raises(ValueError, match="not an OfflineRequest"):
             OfflineInstance(((1, 1, 1, 1),), 10, 4, "avg_latency")
+
+    def test_class_policy_refused_on_an_unclassed_instance(self):
+        inst = OfflineInstance.build([(1, 1, 1), (1, 1, 2)], 10, 4, "avg_latency")
+        with pytest.raises(PolicyApplicabilityError, match="policy 'flow_per_class' needs class labels, but request 1"):
+            verify_policy_dominance(inst, make_policy("flow_per_class", {"budgets": [1]}))
+        assert verify_policy_dominance(inst, make_policy("mc", {})).ok
 
     def test_numpy_integers_become_ints(self):
         i = np.int64

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from kvflow.cli import _write_json
 from kvflow.core import RequestClass, workload_tokens
 from kvflow.policies import ScalarFlowControl, make_policy
 from kvflow.stability import (
@@ -333,7 +334,7 @@ class TestBuildReport:
 
         rep = build_report(capacity=100, classes=[(1, 1, 1)], budgets=(2,))
         path = tmp_path / "stability.json"
-        rep.write_json(path)
+        _write_json(path, rep.as_dict(), 1)
         doc = json.loads(path.read_text())
         assert doc["capacity"] == 100
         assert doc["necessary"]["verdict"] == "within_capacity"
