@@ -17,8 +17,7 @@ from kvflow import (
     run,
 )
 from kvflow.policies import PolicyApplicabilityError
-from kvflow.presets import builtin_trace_path
-from kvflow.workload import sample_lengths_summary
+from kvflow.workload import builtin_trace_path, sample_lengths_summary
 
 M = 16492
 HORIZON = 400

@@ -34,7 +34,6 @@ from kvflow.engine import RunResult, event_rows, run
 from kvflow.metrics import MetricsReport, compute_metrics, recompute_from_events
 from kvflow.oracle import OfflineInstance, OfflineRequest, Solution, solve
 from kvflow.policies import Policy, PolicyApplicabilityError, make_policy
-from kvflow.presets import KV_CAPACITY, PRESET_NAMES, preset
 from kvflow.stability import (
     StabilityReport,
     budget_search,
@@ -58,14 +57,12 @@ __all__ = [
     "ArrivalStream",
     "CheckResult",
     "EngineError",
-    "KV_CAPACITY",
     "MetricsReport",
     "OfflineInstance",
     "OfflineRequest",
     "OversizedRequestError",
     "Policy",
     "PolicyApplicabilityError",
-    "PRESET_NAMES",
     "Request",
     "RequestClass",
     "RunResult",
@@ -89,7 +86,6 @@ __all__ = [
     "ingest_trace",
     "make_policy",
     "overflow_bound",
-    "preset",
     "recompute_from_events",
     "run",
     "solve",

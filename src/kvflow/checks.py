@@ -230,7 +230,10 @@ def check_overflow_rarity(
     activation draw never exceeds its cap."""
     claim = "scalar admission with positive load margin never overflows in practice"
     policy = make_policy("flow_scalar", {"budget": budget, "cap": cap})
-    epsilon = 1 - policy.budget * spec.length_distribution().mean_workload() / kv_capacity
+    dist = spec.length_distribution()
+    if dist is None:
+        return CheckResult(claim, SKIPPED, "every class has arrival rate 0, so no load margin is defined")
+    epsilon = 1 - policy.budget * dist.mean_workload() / kv_capacity
     if epsilon <= 0:
         return CheckResult(
             claim,

@@ -33,10 +33,11 @@ import tempfile
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from kvflow import metrics, oracle, presets, stability, workload
+from kvflow import metrics, oracle, stability, workload
 from kvflow.core import EngineError, integer, nonnegative_rate, positive_int
 from kvflow.engine import run as engine_run, sweep, write_events_csv
 from kvflow.oracle import OBJECTIVES
@@ -137,7 +138,7 @@ def parse_workload(doc, where: str = "workload") -> WorkloadSpec:
             raise ConfigError(f"field '{prefix}format' must be 'jsonl' or 'raw_pairs', got {fmt!r}")
         rate = _parse_rate(_field(doc, "rate", prefix, object), prefix + "rate")
         try:
-            resolved = presets.resolve_trace_path(raw_path)
+            resolved = workload.resolve_trace_path(raw_path)
         except ValueError as exc:
             raise ConfigError(f"field '{prefix}trace_path': {exc}") from None
         try:
@@ -335,6 +336,19 @@ def _write_json(path: Path, doc: dict, indent: int) -> None:
     _atomic_write(path, lambda tmp: Path(tmp).write_text(json.dumps(doc, indent=indent) + "\n", encoding="utf-8"))
 
 
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header row and then rows to path with csv.writer's default
+    dialect (CRLF line ends, minimal quoting), through _atomic_write."""
+
+    def write(tmp):
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
+
+    _atomic_write(path, write)
+
+
 def _status(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -387,17 +401,13 @@ def _aggregate_row(reports: Sequence[metrics.MetricsReport]) -> List[str]:
 
 def write_sweep_csv(reports: Sequence[metrics.MetricsReport], path) -> None:
     """Per-seed metric rows plus one trailing aggregate (mean±std) row."""
+    rows = [rep.to_csv_row() for rep in reports]
+    if reports:
+        rows.append(_aggregate_row(reports))
+    _write_csv(path, metrics.CSV_FIELDS, rows)
 
-    def _write(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(metrics.CSV_FIELDS)
-            for rep in reports:
-                w.writerow(rep.to_csv_row())
-            if reports:
-                w.writerow(_aggregate_row(reports))
 
-    _atomic_write(Path(path), _write)
+SERIES_FIELDS = ("slot", "usage", "waiting", "active", "budget", "prefill_tokens", "decode_tokens")
 
 
 def _run_seed(kv_capacity: int, out: Path, emit: Dict[str, bool], arrivals, policy: Policy, seed: int):
@@ -407,7 +417,16 @@ def _run_seed(kv_capacity: int, out: Path, emit: Dict[str, bool], arrivals, poli
     if emit["metrics_json"]:
         _write_json(out / f"metrics_seed{seed}.json", report.as_dict(), 1)
     if emit["series_csv"]:
-        _atomic_write(out / f"series_seed{seed}.csv", result.write_series_csv)
+        columns = (
+            result.usage,
+            result.waiting_len,
+            result.active_len,
+            result.budgets,
+            result.prefill_tokens,
+            result.decode_tokens,
+        )
+        rows = zip(range(1, result.horizon + 1), *(map(int, c) for c in columns), strict=True)
+        _write_csv(out / f"series_seed{seed}.csv", SERIES_FIELDS, rows)
     if emit["event_log"]:
         _atomic_write(out / f"events_seed{seed}.csv", lambda tmp: write_events_csv(result.events, tmp))
     return report
@@ -499,15 +518,9 @@ def _inapplicable_row(label: str, params: dict, reason: str) -> dict:
 
 def write_usage_series_csv(seeds: Sequence[int], usages: Sequence, path) -> None:
     """Per-slot cache usage, one column per seed."""
-
-    def _write(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["slot"] + [f"usage_seed{s}" for s in seeds])
-            slots = range(1, len(usages[0]) + 1)
-            w.writerows(zip(slots, *(map(int, u) for u in usages), strict=True))
-
-    _atomic_write(Path(path), _write)
+    header = ["slot"] + [f"usage_seed{s}" for s in seeds]
+    slots = range(1, len(usages[0]) + 1)
+    _write_csv(path, header, zip(slots, *(map(int, u) for u in usages), strict=True))
 
 
 def _policy_labels(policies: Sequence[Tuple[str, dict]]) -> List[str]:
@@ -567,14 +580,7 @@ def cmd_compare(args) -> int:
         )
 
     table = out / "compare.csv"
-
-    def _write(tmp):
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(COMPARE_FIELDS))
-            w.writeheader()
-            w.writerows(rows)
-
-    _atomic_write(table, _write)
+    _write_csv(table, COMPARE_FIELDS, map(itemgetter(*COMPARE_FIELDS), rows))
     _status(f"wrote {table}")
     _emit_summary(
         {
@@ -663,7 +669,7 @@ def cmd_budget_search(args) -> int:
         params=params,
     )
     csv_path = cfg.out_dir / "search.csv"
-    _atomic_write(csv_path, result.write_csv)
+    _write_csv(csv_path, stability.SEARCH_FIELDS, map(itemgetter(*stability.SEARCH_FIELDS), result.rows))
     summary = {
         "command": "budget-search",
         "policy": name,
@@ -770,14 +776,7 @@ def cmd_ingest(args) -> int:
     if args.format == "json":
         _write_json(summary_path, summary, 2)
     else:
-
-        def _write_csv(tmp):
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                w = csv.DictWriter(fh, fieldnames=list(summary))
-                w.writeheader()
-                w.writerow(summary)
-
-        _atomic_write(summary_path, _write_csv)
+        _write_csv(summary_path, list(summary), [list(summary.values())])
     for line_no, reason in result.malformed[:5]:
         _status(f"line {line_no}: {reason}")
     if len(result.malformed) > 5:

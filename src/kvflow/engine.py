@@ -37,7 +37,6 @@ write_events_csv writes those rows.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -67,7 +66,7 @@ EVENT_COMPLETE = "complete"
 EVENT_OVERFLOW = "overflow"
 
 EVENT_FIELDS = ("slot", "kind", "request_id", "usage_after")
-# csv.writer's default dialect ends lines in \r\n and quotes none of these
+# the csv module's default writer ends lines in \r\n and quotes none of these
 # fields, so plain formatting writes the same bytes
 _EVENT_HEADER = ",".join(EVENT_FIELDS) + "\r\n"
 _EVENT_ROW = "%d,%s,%d,%d\r\n"
@@ -131,21 +130,6 @@ class RunResult:
     def unfinished(self) -> np.ndarray:
         return self.waiting_len + self.active_len
 
-    def write_series_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["slot", "usage", "waiting", "active", "budget", "prefill_tokens", "decode_tokens"])
-            columns = (
-                self.usage,
-                self.waiting_len,
-                self.active_len,
-                self.budgets,
-                self.prefill_tokens,
-                self.decode_tokens,
-            )
-            slots = range(1, self.horizon + 1)
-            w.writerows(zip(slots, *(map(int, c) for c in columns), strict=True))
-
 
 def event_rows(events: Iterable[EventEntry]) -> Iterator[Tuple[int, str, int, int]]:
     """Expand an event log to one (slot, kind, request_id, usage_after)
@@ -167,8 +151,8 @@ def event_rows(events: Iterable[EventEntry]) -> Iterator[Tuple[int, str, int, in
 
 
 def write_events_csv(events: Iterable[EventEntry], path) -> None:
-    """Write an event log as CSV, byte for byte what csv.writer would write
-    over event_rows(events).
+    """Write an event log as CSV, byte for byte what the csv module's
+    writer would write over event_rows(events).
 
     The first line is the header ``slot,kind,request_id,usage_after``; every
     line, the header included, ends in ``\\r\\n``. Each row is
@@ -190,7 +174,7 @@ def write_events_csv(events: Iterable[EventEntry], path) -> None:
                 if not ids:
                     continue
                 head, tail = f"{entry[0]},{entry[1]},", f",{entry[3]}\r\n"
-                # %s writes str(id), as csv.writer does
+                # %s writes str(id), as the csv module's writer does
                 row = head.replace("%", "%%") + "%s" + tail.replace("%", "%%")
                 parts.append((row * len(ids)) % ids)
                 rows += len(ids)
@@ -216,6 +200,7 @@ class Engine:
         track_classes: Optional[int] = None,
     ) -> None:
         kv_capacity = integer("kv_capacity", kv_capacity, 1)
+        seed = integer("seed", seed, 0)
         if track_classes is not None:
             track_classes = integer("track_classes", track_classes, 0)
         self.policy = policy
@@ -250,7 +235,7 @@ class Engine:
         self.completed_slot: List[int] = []
         self.completed_decode_len: List[int] = []
         self.completed_prompt_len: List[int] = []
-        policy.reset(np.random.SeedSequence([int(seed), POLICY_STREAM_TAG]))
+        policy.reset(np.random.SeedSequence([seed, POLICY_STREAM_TAG]))
 
     def step(self, slot_requests: Sequence[Request]) -> None:
         """Advance one slot through the five phases.
@@ -497,11 +482,12 @@ def run(
     Slot t of a hand-built stream holds the requests whose arrival_slot
     is t (slots count from 1). Each slot is fed in id order, whatever
     order it lists its requests in, and an id may arrive only once; its
-    requests' integer fields are checked and kept as ints. track_classes sizes an optional per-class waiting-count series (pass
-    the class count). Identical inputs produce bit-identical
-    results, event logs included. A run leaves nothing in the stream that
-    a later run reads, so one stream can be replayed under any number of
-    policies.
+    requests' integer fields are checked and kept as ints. track_classes
+    sizes an optional per-class waiting-count series (pass the class
+    count; below a generated stream's class count it is an error).
+    Identical inputs produce bit-identical results, event logs included.
+    A run leaves nothing in the stream that a later run reads, so one
+    stream can be replayed under any number of policies.
     """
     if isinstance(arrivals, ArrivalStream):
         slots = arrivals.slots
@@ -518,6 +504,8 @@ def run(
         record_events=record_events,
         track_classes=track_classes,
     )
+    if counts is not None and track_classes and track_classes < counts.shape[1]:
+        raise ValueError(f"track_classes={track_classes} is below the stream's class count {counts.shape[1]}")
     for slot_requests in slots:
         engine.step(slot_requests)
     result = engine.result(exhausted_slot=exhausted)

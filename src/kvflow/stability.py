@@ -20,7 +20,6 @@ objectives) plus the full measured table.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -331,7 +330,9 @@ def build_report(
     Known-length workloads pass classes (with rates) and optionally
     per-class budgets; unknown-length ones pass length_dist and rate and
     optionally a scalar budget, which also yields the overflow bound
-    when a horizon is given.
+    when a horizon is given. A length_dist of None is an empty mix, as a
+    synthetic mix with every rate 0 gives: it offers no load and has no
+    overflow bound.
     """
     capacity = positive_int("capacity", capacity)
     if classes is not None:
@@ -340,11 +341,11 @@ def build_report(
         if budgets is not None:
             sufficient = check_sufficient_known(classes, budgets, capacity)
         return StabilityReport(capacity=capacity, necessary=necessary, sufficient=sufficient)
-    if length_dist is None or rate is None:
-        raise ValueError("pass classes, or length_dist together with rate")
+    if rate is None:
+        raise ValueError("pass classes, or rate together with length_dist")
     necessary = check_necessary_unknown(length_dist, rate, capacity)
     overflow = None
-    if scalar_budget is not None and horizon is not None:
+    if scalar_budget is not None and horizon is not None and length_dist is not None:
         b = nonnegative_rate("scalar_budget", scalar_budget)
         eps = 1 - b * length_dist.mean_workload() / capacity
         if eps > 0:
@@ -370,14 +371,7 @@ class BudgetSearchResult:
     seeds: Tuple[int, ...]
     best_budget: object
     best_value: float
-    rows: Tuple[dict, ...]  # one per grid point, in grid order
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(SEARCH_FIELDS)
-            for row in self.rows:
-                w.writerow([row[k] for k in SEARCH_FIELDS])
+    rows: Tuple[dict, ...]  # one per grid point, in grid order, keyed by SEARCH_FIELDS
 
 
 def budget_search(

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 from pathlib import Path
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -33,6 +34,7 @@ from kvflow.core import (
 ARRIVAL_STREAM_TAG = 0
 # largest rate sampled by one CDF walk; exp(-500) is still a normal float
 POISSON_RATE_CAP = 500.0
+_BUILTIN_TRACES = ("trace_1k",)
 
 
 def poisson_counts(rate: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,8 +103,9 @@ class WorkloadSpec:
     kind "synthetic" draws an independent Poisson(rate_k) count per class
     per slot. kind "trace" draws one Poisson(rate) count per slot and
     consumes trace records in file order. outputs_known controls whether
-    policies may observe decode lengths. The horizon is kept as an int and
-    a trace's rate as an int or a Fraction, checked when the spec is built.
+    policies may observe decode lengths. The horizon and the seed are kept
+    as ints and a trace's rate as an int or a Fraction, checked when the
+    spec is built.
     """
 
     kind: str
@@ -116,6 +119,7 @@ class WorkloadSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "horizon", positive_int("horizon", self.horizon))
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         if self.kind == "synthetic":
             if not self.classes:
                 raise ValueError("synthetic workload needs at least one class")
@@ -162,8 +166,12 @@ class WorkloadSpec:
             trace_path=trace_path,
         )
 
-    def length_distribution(self) -> "LengthDistribution":
+    def length_distribution(self) -> Optional["LengthDistribution"]:
+        """The (prompt, output) mix that arrivals draw from, or None for a
+        synthetic mix whose rates are all 0: nothing arrives to weight it."""
         if self.kind == "synthetic":
+            if not any(c.rate for c in self.classes):
+                return None
             return LengthDistribution.from_classes(self.classes)
         return LengthDistribution.from_records(self.records)
 
@@ -201,10 +209,8 @@ def generate_arrivals(spec: WorkloadSpec, seed: Optional[int] = None) -> Arrival
     order (slot by slot; within a slot, class order for synthetic
     workloads, file order for traces).
     """
-    run_seed = spec.seed if seed is None else seed
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([int(run_seed), ARRIVAL_STREAM_TAG]))
-    )
+    run_seed = spec.seed if seed is None else integer("seed", seed, 0)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([run_seed, ARRIVAL_STREAM_TAG])))
     if spec.kind == "synthetic":
         return _generate_synthetic(spec, rng)
     return _generate_trace(spec, rng)
@@ -292,6 +298,20 @@ class IngestResult:
     total_lines: int
     malformed: List[Tuple[int, str]]
     dropped_zero: int
+
+
+def builtin_trace_path(tag: str) -> Path:
+    """Filesystem path of a bundled trace, by its short tag."""
+    if tag not in _BUILTIN_TRACES:
+        raise ValueError(f"unknown builtin trace {tag!r}; known: {', '.join(_BUILTIN_TRACES)}")
+    return Path(str(resources.files("kvflow") / "data" / f"{tag}.jsonl"))
+
+
+def resolve_trace_path(path: str) -> str:
+    """Expand a builtin:<tag> reference; ordinary paths pass through."""
+    if path.startswith("builtin:"):
+        return str(builtin_trace_path(path[len("builtin:"):]))
+    return path
 
 
 def ingest_trace(path: Union[str, Path], fmt: str = "jsonl") -> IngestResult:

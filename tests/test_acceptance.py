@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvflow import cli, engine, metrics, oracle, presets, stability
+from kvflow import cli, engine, metrics, oracle, stability
 from kvflow.core import RequestClass, workload_tokens
 from kvflow.engine import run as engine_run
 from kvflow.policies import make_policy
-from kvflow.workload import WorkloadSpec, generate_arrivals
+from kvflow.workload import WorkloadSpec, builtin_trace_path, generate_arrivals
 
 KV_CAPACITY = 16492
 BUDGETS = (4, 4, 4)
@@ -353,7 +353,7 @@ def test_criterion_8_reruns_are_bit_identical(tmp_path):
 
 
 def test_criterion_9_trace_pipeline(tmp_path, capsys):
-    trace = presets.builtin_trace_path("trace_1k")
+    trace = builtin_trace_path("trace_1k")
     assert cli.main(["ingest", str(trace), "--out", str(tmp_path / "ingest")]) == 0
     ingest_summary = json.loads(capsys.readouterr().out)
     assert ingest_summary["records"] == 1000

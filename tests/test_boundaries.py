@@ -29,9 +29,10 @@ from kvflow.stability import (
     check_sufficient_known,
     overflow_bound,
 )
-from kvflow.workload import LengthDistribution, TraceRecord, WorkloadSpec
+from kvflow.workload import LengthDistribution, TraceRecord, WorkloadSpec, generate_arrivals
 
 CLASS = RequestClass(2, 3, 1)
+SPEC = WorkloadSpec.synthetic([CLASS], horizon=5)
 DIST = LengthDistribution([(2, 3)], [1])
 HALF = Fraction(1, 2)
 
@@ -71,7 +72,10 @@ ENTRIES = {
         lambda v: WorkloadSpec.from_trace([TraceRecord(2, 3)], rate=v, horizon=5),
         attrgetter("rate"),
     ),
+    "WorkloadSpec.seed": ("seed", 0, lambda v: WorkloadSpec.synthetic([CLASS], horizon=5, seed=v), attrgetter("seed")),
+    "generate_arrivals.seed": ("seed", 0, lambda v: generate_arrivals(SPEC, v), None),
     "Engine.kv_capacity": ("kv_capacity", 1, lambda v: Engine(FixedSchedule({}), v), lambda e: e.state.kv_capacity),
+    "Engine.seed": ("seed", 0, lambda v: Engine(FixedSchedule({}), 10, seed=v), lambda e: e.state.rng_seed),
     "Engine.track_classes": (
         "track_classes",
         0,
@@ -79,6 +83,7 @@ ENTRIES = {
         lambda e: len(e._class_waiting or ()),
     ),
     "run.kv_capacity": ("kv_capacity", 1, lambda v: run([[]], FixedSchedule({}), v), attrgetter("kv_capacity")),
+    "run.seed": ("seed", 0, lambda v: run([[]], FixedSchedule({}), 10, seed=v), attrgetter("seed")),
     "Request.id": ("id", None, lambda v: hand_built(id=v), attrgetter("id")),
     "Request.arrival_slot": ("arrival_slot", None, lambda v: hand_built(arrival_slot=v), attrgetter("arrival_slot")),
     "Request.prompt_len": ("prompt_len", 1, lambda v: hand_built(prompt_len=v), attrgetter("prompt_len")),
@@ -185,7 +190,14 @@ ENTRIES = {
 }
 
 # where None means the field is left out, and is no error
-OPTIONAL = {"Engine.track_classes", "Request.class_id", "OfflineRequest.class_id", "overflow_bound.b", "build_report.scalar_budget"}
+OPTIONAL = {
+    "Engine.track_classes",
+    "Request.class_id",
+    "OfflineRequest.class_id",
+    "overflow_bound.b",
+    "build_report.scalar_budget",
+    "generate_arrivals.seed",
+}
 NOT_NUMBERS = [True, None, math.nan, math.inf, -math.inf]
 BAD = {
     None: NOT_NUMBERS + [2.5, 2.0, "3"],
@@ -213,3 +225,10 @@ def test_number_enters_through_one_checker(entry, value):
         return
     with pytest.raises(ValueError, match=f"{re.escape(name)} must be"):
         take(value)
+
+
+def test_numpy_seed_is_kept_as_the_int_seed():
+    seed = run([[]], FixedSchedule({}), 10, seed=np.int64(3)).seed
+    assert type(seed) is int and seed == 3
+    spec = WorkloadSpec.synthetic([CLASS], horizon=50)
+    assert generate_arrivals(spec, np.int64(3)).class_counts.tolist() == generate_arrivals(spec, 3).class_counts.tolist()

@@ -223,6 +223,12 @@ class TestOverflowRarity:
         assert result.verdict == checks.FAIL
         assert "overflow slots observed" in result.reason
 
+    def test_zero_rate_mix_skips(self):
+        spec = small_known_spec(rate=0)
+        result = checks.check_overflow_rarity(spec, 1, 100, seeds=(0,))
+        assert result.skipped
+        assert "rate 0" in result.reason
+
     def test_no_seeds_is_an_error(self):
         with pytest.raises(ValueError, match="at least one seed"):
             checks.check_overflow_rarity(small_known_spec(horizon=2000), 1, 100, seeds=())

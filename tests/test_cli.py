@@ -657,6 +657,25 @@ class TestStability:
         ) == 0
         assert json.loads(capsys.readouterr().out)["necessary_violated"] is False
 
+    def test_zero_rate_mix_offers_no_load_whether_outputs_show(self, tmp_path, capsys):
+        # every class leaves out its rate, which defaults to 0
+        for known in (True, False):
+            doc = {
+                "workload": {
+                    "kind": "synthetic",
+                    "horizon": 100,
+                    "outputs_known": known,
+                    "classes": [{"prompt_len": 2, "decode_len": 2}, {"prompt_len": 3, "decode_len": 5}],
+                },
+                "kv_capacity": 50,
+                "policy": {"name": "flow_scalar", "params": {"budget": 2}},
+            }
+            out = tmp_path / str(known)
+            assert cli.main(["stability", "-c", write_config(tmp_path, doc), "--out", str(out)]) == cli.EXIT_OK
+            summary = json.loads(capsys.readouterr().out)
+            assert summary["offered_load"] == 0 and summary["necessary_violated"] is False
+            assert summary["overflow_bound"] is None
+
 
 class TestBudgetSearch:
     def search_config(self, **search):

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import kvflow.engine
+from kvflow import cli
 from kvflow.cli import write_usage_series_csv
-from kvflow.presets import builtin_trace_path
 from kvflow.core import EngineError, OversizedRequestError, Request, RequestClass
 from kvflow.engine import (
     _EVENT_CHUNK_ROWS,
@@ -33,7 +33,7 @@ from kvflow.policies import (
     Policy,
     make_policy,
 )
-from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
+from kvflow.workload import WorkloadSpec, builtin_trace_path, generate_arrivals, ingest_trace
 from references import usage
 
 
@@ -362,6 +362,12 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="request 2: class_id must be below track_classes=2, got 5"):
             run(arrivals, FixedSchedule({}), kv_capacity=100, track_classes=2)
 
+    def test_track_classes_below_a_generated_streams_class_count(self):
+        classes = [RequestClass(2, 3, 1), RequestClass(2, 4, 1), RequestClass(2, 5, 1)]
+        stream = generate_arrivals(WorkloadSpec.synthetic(classes, horizon=20), 0)
+        with pytest.raises(ValueError, match="track_classes=1 is below the stream's class count 3"):
+            run(stream, make_policy("mc", {}), kv_capacity=100, track_classes=1)
+
 
 class TestArrivalOrder:
     """A hand-built slot may list its requests in any order; run() queues
@@ -551,6 +557,9 @@ class TestArrivalStreamPassthrough:
         assert r.class_arrivals is stream.class_counts
 
 
+SERIES_ONLY = {"metrics_json": False, "series_csv": True, "event_log": False}
+
+
 class TestSerialization:
     def make(self):
         slots, _ = random_workload(2, known=True)
@@ -558,9 +567,9 @@ class TestSerialization:
 
     def test_series_csv_shape(self, tmp_path):
         r = self.make()
-        path = tmp_path / "series.csv"
-        r.write_series_csv(path)
-        lines = path.read_text().strip().splitlines()
+        slots, _ = random_workload(2, known=True)
+        cli._run_seed(40, tmp_path, SERIES_ONLY, slots, make_policy("mc", {}), 0)
+        lines = (tmp_path / "series_seed0.csv").read_text().strip().splitlines()
         assert len(lines) == r.horizon + 1
         assert lines[0].startswith("slot,usage,waiting,active")
 
@@ -592,7 +601,7 @@ def csv_writer_events(events, path):
 
 
 def csv_writer_series(r, path):
-    """The per-cell loop RunResult.write_series_csv replaced."""
+    """The per-cell loop the series writer replaced."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["slot", "usage", "waiting", "active", "budget", "prefill_tokens", "decode_tokens"])
@@ -632,13 +641,15 @@ class TestArtifactBytes:
         ("amin", {"min_output": 3}),
     ]
 
+    SPEC = WorkloadSpec.synthetic(
+        [RequestClass(4, 3, Fraction(2)), RequestClass(2, 6, Fraction(2))], horizon=200, seed=1
+    )
+
     @pytest.fixture(scope="class")
     def results(self):
-        classes = [RequestClass(4, 3, Fraction(2)), RequestClass(2, 6, Fraction(2))]
-        spec = WorkloadSpec.synthetic(classes, horizon=200, seed=1)
         return [
             run(
-                generate_arrivals(spec, seed=1),
+                generate_arrivals(self.SPEC, seed=1),
                 make_policy(name, params),
                 kv_capacity=60,
                 seed=1,
@@ -742,9 +753,10 @@ class TestArtifactBytes:
             assert len(rows) - other == int(r.decode_tokens.sum())
 
     def test_series_csv(self, results, tmp_path):
-        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
-        for r in results:
-            r.write_series_csv(fast)
+        # the series file kvflow run writes for each run's seed
+        fast, ref = tmp_path / "series_seed1.csv", tmp_path / "ref.csv"
+        for r, (name, params) in zip(results, self.POLICIES):
+            cli._run_seed(60, tmp_path, SERIES_ONLY, generate_arrivals(self.SPEC, seed=1), make_policy(name, params), 1)
             csv_writer_series(r, ref)
             assert fast.read_bytes() == ref.read_bytes()
 

@@ -1,7 +1,7 @@
 """Source hygiene: no module under src/kvflow imports a name it never uses
 or a private name of another kvflow module, no private top-level name
-under src/kvflow goes unread, and no public one goes unread by the
-library, the demos and README.md.
+under src/kvflow goes unread, no public one goes unread by the library,
+the demos and README.md, and no module but cli.py writes files itself.
 
 Uses are read from the syntax tree: every bare name, the names inside
 string annotations ("WorkloadSpec"), and a module's __all__ list.
@@ -162,3 +162,48 @@ def test_numbers_are_checked_only_in_core(path):
     # core.integer and core.rational are the one rule for what a number is
     found = [f"{what} (line {line})" for what, line in own_number_tests(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, f"{path.name} tests numbers itself instead of calling core.integer: {', '.join(found)}"
+
+
+# (module, function) that may open a file for writing outside cli.py: the
+# event log's hand-formatted fast path, pinned byte for byte
+OWN_WRITERS_ALLOWED = {("engine.py", "write_events_csv")}
+
+
+def write_mode(call: ast.Call):
+    """The mode string of an open(path, mode) or Path.open(mode) call, else None."""
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        mode = call.args[1] if len(call.args) > 1 else None
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        mode = call.args[0] if call.args else None
+    else:
+        return None
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), mode)
+    return mode.value if isinstance(mode, ast.Constant) and isinstance(mode.value, str) else None
+
+
+def own_file_writes(path: Path):
+    """(what, line) of each csv import and each open(..., "w") call outside
+    the functions OWN_WRITERS_ALLOWED names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    allowed = {
+        id(node)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and (path.name, fn.name) in OWN_WRITERS_ALLOWED
+        for node in ast.walk(fn)
+    }
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names):
+            yield "import csv", node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            yield "from csv import", node.lineno
+        elif isinstance(node, ast.Call) and "w" in (write_mode(node) or ""):
+            yield 'open(..., "w")', node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "cli.py"], ids=lambda p: p.name)
+def test_files_are_written_only_by_cli(path):
+    # cli._write_csv and cli._write_json write every artifact, atomically
+    found = [f"{what} (line {line})" for what, line in own_file_writes(path)]
+    assert not found, f"{path.name} writes files itself instead of through cli: {', '.join(found)}"

@@ -1,12 +1,12 @@
-"""Shipped preset configs: drift checks and end-to-end usability."""
+"""Shipped preset configs (configs/*.json): what each encodes, and that it loads."""
 
 import argparse
-import json
 from pathlib import Path
 
 import pytest
 
-from kvflow import cli, presets
+from kvflow import cli
+from kvflow.workload import builtin_trace_path, resolve_trace_path
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -19,30 +19,13 @@ def _args(**kw):
 
 
 class TestPresetFiles:
-    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
-    def test_json_matches_builder(self, name):
-        # configs/*.json are generated from presets.py; regenerate with
-        # presets.write_preset_files("configs") after editing either side
-        path = CONFIG_DIR / f"{name}.json"
-        assert path.exists(), f"missing {path}"
-        assert json.loads(path.read_text(encoding="utf-8")) == presets.preset(name)
-
-    def test_preset_returns_fresh_copies(self):
-        a = presets.preset("synthetic_known")
-        a["kv_capacity"] = 1
-        assert presets.preset("synthetic_known")["kv_capacity"] == presets.KV_CAPACITY
-
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="unknown preset"):
-            presets.preset("nope")
-
     def test_builtin_trace_resolves(self):
-        path = presets.builtin_trace_path("trace_1k")
+        path = builtin_trace_path("trace_1k")
         assert path.exists()
-        assert presets.resolve_trace_path("builtin:trace_1k") == str(path)
-        assert presets.resolve_trace_path("/tmp/x.jsonl") == "/tmp/x.jsonl"
+        assert resolve_trace_path("builtin:trace_1k") == str(path)
+        assert resolve_trace_path("/tmp/x.jsonl") == "/tmp/x.jsonl"
         with pytest.raises(ValueError, match="unknown builtin trace"):
-            presets.builtin_trace_path("missing")
+            builtin_trace_path("missing")
 
 
 class TestPresetContents:

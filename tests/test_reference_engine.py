@@ -22,8 +22,7 @@ import pytest
 from kvflow.core import RequestClass
 from kvflow.engine import event_rows, run
 from kvflow.policies import make_policy
-from kvflow.presets import builtin_trace_path
-from kvflow.workload import WorkloadSpec, generate_arrivals, ingest_trace
+from kvflow.workload import WorkloadSpec, builtin_trace_path, generate_arrivals, ingest_trace
 
 POLICIES = [
     ("flow_per_class", {"budgets": [2, 2, 2]}),

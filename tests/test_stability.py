@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from kvflow.cli import _write_json
+from kvflow.cli import _write_csv, _write_json
 from kvflow.core import RequestClass, workload_tokens
 from kvflow.policies import ScalarFlowControl, make_policy
 from kvflow.stability import (
+    SEARCH_FIELDS,
     BudgetSearchResult,
     LoadCheck,
     OverflowBound,
@@ -28,6 +29,11 @@ from kvflow.workload import LengthDistribution, WorkloadSpec
 
 CLASSES = [(10, 20), (10, 40), (10, 60)]
 CAPACITY = 16492
+
+
+def write_search_csv(res, path):
+    """search.csv as kvflow budget-search writes it."""
+    _write_csv(path, SEARCH_FIELDS, [[row[k] for k in SEARCH_FIELDS] for row in res.rows])
 
 
 def with_rates(rate):
@@ -413,7 +419,7 @@ class TestBudgetSearch:
             self.small_spec(), 30, "flow_scalar", "token_throughput", grid=[1, 2], seeds=[0]
         )
         path = tmp_path / "search.csv"
-        res.write_csv(path)
+        write_search_csv(res, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0].startswith("budget,objective_value")
         assert len(lines) == 3
@@ -471,6 +477,6 @@ class TestBudgetSearchPinned:
         res = budget_search(spec, 30, policy, objective, self.GRIDS[policy], seeds=[0, 1])
         assert res.rows[0]["completed"] == 0
         path = tmp_path / "search.csv"
-        res.write_csv(path)
+        write_search_csv(res, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
         assert (res.best_budget, res.best_value) == (best_budget, best_value)

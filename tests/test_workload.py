@@ -13,11 +13,11 @@ import pytest
 
 from kvflow import workload
 from kvflow.core import Request, RequestClass, workload_tokens
-from kvflow.presets import builtin_trace_path
 from kvflow.workload import (
     LengthDistribution,
     TraceRecord,
     WorkloadSpec,
+    builtin_trace_path,
     generate_arrivals,
     ingest_trace,
     sample_lengths_summary,
